@@ -52,18 +52,18 @@ experiments:
 resilience-smoke:
 	python -m repro.experiments resilience --fast --json-out RESILIENCE.json
 
-# A complete 16384-rank Cannon simulation on the event-heap scheduler
-# (scaling-large's default).  --no-verify skips the host-side product
-# check so the run stays under the tier-1 timeout; correctness at this
-# scale is covered by the verified 4096-rank point in `experiments`.
+# A complete, verified 16384-rank Cannon simulation through compiled
+# replay: the blocks ride the batch schedule and the product is checked
+# against A @ B on the host.
 scale-16k-smoke:
-	python -m repro.experiments scaling-large --p-values 16384 --n0 2 --no-verify --no-disk-cache
+	python -m repro.experiments scaling-large --p-values 16384 --n0 2 --scheduler compiled --no-disk-cache
 
-# A complete 65536-rank Cannon simulation.  With --no-verify the
-# experiment defaults to the compiled (record->replay) scheduler, whose
-# vectorized batch replay finishes the 64k point in seconds; timing is
-# fuzz-gated bit-identical to the heap scheduler at p <= 4096 by the
-# test suite and perf guard.
+# A complete 65536-rank Cannon simulation, timing only (--no-verify: no
+# product is built).  The experiment defaults to the compiled
+# (record->replay) scheduler, whose vectorized batch replay finishes the
+# 64k point in seconds; timing is fuzz-gated bit-identical to the heap
+# scheduler at p <= 4096 and pinned to Cannon's closed-form T_p up to
+# p = 65536 by the test suite.
 scale-64k-smoke:
 	python -m repro.experiments scaling-large --p-values 65536 --n0 2 --no-verify --no-disk-cache
 

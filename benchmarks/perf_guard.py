@@ -380,9 +380,8 @@ def bench_engine_compiled(fast: bool, repeats: int) -> dict:
             )
             entry["identical_to_heap"] = bool(identical)
         else:
-            # identity is fuzz-gated at p <= 4096; at 64k only the
-            # headline number is cross-checked (a full heap result is
-            # produced by the timed run below anyway)
+            # identity is fuzz-gated at p <= 4096; at 64k the headline
+            # number is cross-checked against the timed heap run below
             entry["identical_to_heap"] = None
 
         rep_heap = repeats if p <= 4096 else 1
@@ -555,12 +554,18 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
     fig4_sizes = (16, 48) if fast else (16, 48, 96, 144)
     fig5_sizes = (66, 132) if fast else (66, 132, 264, 352)
 
-    def run_fig45():
-        figures45.run_fig4(sizes=fig4_sizes)
-        figures45.run_fig5(sizes=fig5_sizes)
+    def run_fig45(cannon_scheduler):
+        figures45.run_fig4(sizes=fig4_sizes, cannon_scheduler=cannon_scheduler)
+        figures45.run_fig5(sizes=fig5_sizes, cannon_scheduler=cannon_scheduler)
 
-    fig45_fast_s = _time(lambda: _with_config("ready", True, run_fig45), repeats)
-    fig45_reference_s = _time(lambda: _with_config("rescan", False, run_fig45), repeats)
+    # the pipeline runs Cannon on compiled replay; the reference runs it
+    # on the configured reference scheduler like GK
+    fig45_fast_s = _time(
+        lambda: _with_config("ready", True, lambda: run_fig45("compiled")), repeats
+    )
+    fig45_reference_s = _time(
+        lambda: _with_config("rescan", False, lambda: run_fig45(None)), repeats
+    )
 
     return {
         "bcast": {
@@ -778,7 +783,8 @@ def main(argv=None) -> int:
         # TraceEvent construction from the rescan reference helpers,
         # making the *baseline* ~25% faster and lowering the measured
         # full-size floor from ~1.9x to ~1.35-1.5x; the gate sits under
-        # the new floor
+        # that floor.  Since the pipeline runs Cannon on compiled replay
+        # (the reference keeps it on rescan) the ratio reads ~4.5x
         "fig45_pipeline_speedup_ge_1_25x":
             report["collectives"]["fig45_pipeline"]["speedup_vs_reference"] >= 1.25,
         # refinement's advantage is asymptotic in resolution: gate the

@@ -2,7 +2,9 @@
 
 Every algorithm module exposes a driver ``run_<name>(A, B, p, machine, ...)``
 returning a :class:`MatmulResult`: the numerically-exact product together
-with the simulated timing.  This module holds the pieces they share —
+with the simulated timing.  Every driver takes ``product: bool = True``;
+callers that need only the timing pass ``product=False`` and get
+``C=None``.  This module holds the pieces they share —
 processor-grid layouts (with hypercube subcube/Gray embeddings), cube
 routing, compute-cost conventions, and the result container.
 """
@@ -172,9 +174,8 @@ class MatmulResult:
 
     C: np.ndarray | None
     """The computed product (numerically identical to ``A @ B``), or
-    ``None`` for a trace-compiled run (``sim.compiled``): the compiled
-    scheduler replays timing without moving payloads, so there is no
-    product matrix to assemble."""
+    ``None`` when the driver was called with ``product=False`` (timing
+    only, on every scheduler)."""
 
     sim: SimResult
     """Raw simulation outcome (per-rank stats, trace, returns)."""

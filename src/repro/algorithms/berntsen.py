@@ -90,6 +90,7 @@ def run_berntsen(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on ``p = 2**(3q)`` simulated processors (Berntsen).
 
@@ -169,8 +170,12 @@ def run_berntsen(
     # the inner-Cannon rolls are rank-symmetric over the per-subcube rows
     # and columns, the final summation over the cross-subcube reduction
     # groups (the compiler probes each family; whichever stage it cannot
-    # prove symmetric triggers the heap fallback instead)
-    symmetry = SymmetrySpec(
+    # prove symmetric triggers the heap fallback instead).  Only the
+    # timing replays: the reduce-scatter halves each rank's partial
+    # product by the rank's group position and sums in tree order, which
+    # a rank-stacked body cannot reproduce, so a run that needs the
+    # product declares no symmetry.
+    symmetry = None if product else SymmetrySpec(
         partitions={
             "row": np.asarray(
                 [row_groups[(s, i)] for s in range(nsub) for i in range(nsub)],
@@ -198,9 +203,8 @@ def run_berntsen(
 
     # Reassemble: for each grid position the summed C block lives striped
     # (by flattened-word interval) across the nsub corresponding ranks.
-    if sim.compiled:
-        C = None
-    else:
+    C = None
+    if product:
         c_spec = BlockSpec(n, n, nsub, nsub)
         C = np.zeros((n, n), dtype=np.result_type(A, B))
         pieces: dict[tuple[int, int], list] = {}

@@ -85,7 +85,10 @@ def cannon_program(
     (``a_block = A[i, (i+j) % s]``, ``b_block = B[(i+j) % s, j]``).
     ``overlap_shifts`` rolls A and B through one all-port step per
     iteration (Section 7's constant-factor variant).
-    Returns ``((i, j), C_block)``.
+    Returns ``((i, j), C_block)``.  Bound once to rank-stacked operands
+    (``i``/``j`` as ``(p,)`` arrays, blocks as ``(p, b, b)``) the same
+    body is the compiled replay's payload carrier: each step's local
+    multiply becomes one batched matmul.
     """
     side = len(row_group)
     tags = [tag_base + t for t in (_TAG_ALIGN_A, _TAG_ALIGN_B, _TAG_ROLL_A, _TAG_ROLL_B)]
@@ -126,6 +129,7 @@ def run_cannon(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with Cannon's algorithm.
 
@@ -134,7 +138,9 @@ def run_cannon(
     pre-alignment, Eq. 3's accounting) or ``"charged"`` (simulate the
     alignment shifts).  With ``overlap_shifts`` the A and B rolls share
     one all-port step (Section 7's constant-factor gain; requires
-    ``machine.all_port`` for an actual speedup).
+    ``machine.all_port`` for an actual speedup).  With ``product=False``
+    the caller needs timing only: no product is assembled (``C is
+    None``) and a compiled replay builds no payload stacks.
     """
     if align not in ("pre", "charged"):
         raise ValueError(f"align must be 'pre' or 'charged', got {align!r}")
@@ -155,6 +161,8 @@ def run_cannon(
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
 
     factories: list = [None] * p
+    a_by_rank: list = [None] * p
+    b_by_rank: list = [None] * p
     for i in range(side):
         for j in range(side):
             if align == "pre":
@@ -163,6 +171,8 @@ def run_cannon(
             else:
                 a0 = a_blocks[i][j]
                 b0 = b_blocks[i][j]
+            a_by_rank[layout[i][j]] = a0
+            b_by_rank[layout[i][j]] = b0
             factories[layout[i][j]] = cannon_program(
                 i,
                 j,
@@ -176,17 +186,38 @@ def run_cannon(
 
     # the roll phase is rank-symmetric over grid rows and columns; the
     # charged alignment shifts are not (offsets depend on i, j), so only
-    # pre-aligned runs advertise a spec to the trace compiler
-    symmetry = (
-        SymmetrySpec(
+    # pre-aligned runs advertise a spec to the trace compiler.  Ragged
+    # blocks cannot be stacked, so a run that needs the product over them
+    # declares no symmetry.
+    symmetry = None
+    if align == "pre" and (spec.uniform or not product):
+
+        def stacked(info: RankInfo):
+            # the payload carrier: this driver's body over rank-stacked
+            # blocks, run as rank 0; the engine builds it only for a
+            # compiled replay
+            ij = np.empty((2, p), dtype=np.int64)
+            ij[:, np.asarray(layout, dtype=np.int64).ravel()] = np.divmod(
+                np.arange(p), side
+            )
+            i0, j0 = ij[:, 0]
+            return cannon_program(
+                ij[0],
+                ij[1],
+                np.stack(a_by_rank),
+                np.stack(b_by_rank),
+                row_groups[i0],
+                col_groups[j0],
+                overlap_shifts=overlap_shifts,
+            )(info)
+
+        symmetry = SymmetrySpec(
             partitions={
                 "row": np.asarray(row_groups, dtype=np.int64),
                 "col": np.asarray(col_groups, dtype=np.int64),
-            }
+            },
+            stacked=stacked if product else None,
         )
-        if align == "pre"
-        else None
-    )
 
     sim = Engine(
         topo,
@@ -197,9 +228,8 @@ def run_cannon(
         symmetry=symmetry,
     ).run(factories)
 
-    if sim.compiled:
-        C = None
-    else:
+    C = None
+    if product:
         C = np.zeros((n, n), dtype=np.result_type(A, B))
         for (i, j), c_block in sim.returns:
             C[spec.block_slice(i, j)] = c_block

@@ -171,6 +171,7 @@ def _run_cube(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Shared driver for the one-element DNS and GK algorithms."""
     n = A.shape[0]
@@ -215,12 +216,14 @@ def _run_cube(
         symmetry=None,
     ).run(factories)
 
-    C = np.zeros((n, n), dtype=np.result_type(A, B))
-    for ret in sim.returns:
-        if ret is None:
-            continue
-        j, k, c_block = ret
-        C[spec.block_slice(j, k)] = c_block
+    C = None
+    if product:
+        C = np.zeros((n, n), dtype=np.result_type(A, B))
+        for ret in sim.returns:
+            if ret is None:
+                continue
+            j, k, c_block = ret
+            C[spec.block_slice(j, k)] = c_block
     return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm=algorithm)
 
 
@@ -233,6 +236,7 @@ def run_dns_one_per_element(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply with the original DNS formulation: ``p = n^3``, one element per PE.
 
@@ -244,6 +248,7 @@ def run_dns_one_per_element(
     return _run_cube(
         A, B, n, machine, topo, "dns",
         trace=trace, scheduler=scheduler, fault_plan=fault_plan,
+        product=product,
     )
 
 
@@ -348,6 +353,7 @@ def run_dns_block(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply with the §4.5.2 DNS variant on ``p = n^2 * r`` processors.
 
@@ -398,10 +404,12 @@ def run_dns_block(
         symmetry=None,
     ).run(factories)
 
-    C = np.zeros((n, n), dtype=np.result_type(A, B))
-    for ret in sim.returns:
-        if ret is None:
-            continue
-        j, k, li, lj, val = ret
-        C[j * s + li, k * s + lj] = val
+    C = None
+    if product:
+        C = np.zeros((n, n), dtype=np.result_type(A, B))
+        for ret in sim.returns:
+            if ret is None:
+                continue
+            j, k, li, lj, val = ret
+            C[j * s + li, k * s + lj] = val
     return MatmulResult(C=C, sim=sim, n=n, p=p, machine=machine, algorithm="dns-block")

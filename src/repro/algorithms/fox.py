@@ -111,6 +111,7 @@ def run_fox(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with Fox's algorithm.
 
@@ -145,8 +146,10 @@ def run_fox(
     # differs from the leaves' (recv-then-forward), so the program is not
     # rank-symmetric.  We still advertise the grid partitions — the trace
     # compiler's probes detect the divergence and fall back to the heap
-    # scheduler, which is the documented behavior for this driver.
-    symmetry = SymmetrySpec(
+    # scheduler, which is the documented behavior for this driver.  No
+    # stacked program carries its blocks, so a run that needs the product
+    # declares no symmetry.
+    symmetry = None if product else SymmetrySpec(
         partitions={
             "row": np.asarray(row_groups, dtype=np.int64),
             "col": np.asarray(col_groups, dtype=np.int64),
@@ -162,9 +165,8 @@ def run_fox(
         symmetry=symmetry,
     ).run(factories)
 
-    if sim.compiled:
-        C = None
-    else:
+    C = None
+    if product:
         C = np.zeros((n, n), dtype=np.result_type(A, B))
         for (i, j), c_block in sim.returns:
             C[spec.block_slice(i, j)] = c_block

@@ -54,6 +54,7 @@ def run_gk(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with the GK algorithm.
 
@@ -77,7 +78,7 @@ def run_gk(
     result = _run_cube(
         A, B, r, machine, topo, "gk", route_mode=route_mode,
         broadcast=broadcast, trace=trace, scheduler=scheduler,
-        fault_plan=fault_plan,
+        fault_plan=fault_plan, product=product,
     )
     return result
 
@@ -91,6 +92,7 @@ def run_gk_cm5(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """The Section 9 configuration: GK on a fully connected CM-5 model.
 
@@ -99,5 +101,5 @@ def run_gk_cm5(
     """
     return run_gk(
         A, B, p, machine=machine, topology=FullyConnected(p), route_mode="direct",
-        trace=trace, scheduler=scheduler, fault_plan=fault_plan,
+        trace=trace, scheduler=scheduler, fault_plan=fault_plan, product=product,
     )

@@ -58,8 +58,15 @@ class AlgorithmEntry:
     rank_symmetric: bool = False
     """Whether the driver's default configuration produces a rank-symmetric
     SPMD program that the trace compiler (``scheduler="compiled"``) can
-    vectorize.  ``False`` means a compiled run silently degrades to the
-    heap scheduler (``sim.compile_fallback`` records why)."""
+    vectorize for timing (``product=False``).  ``False`` means a compiled
+    run degrades to the heap scheduler (``sim.compile_fallback`` records
+    why)."""
+
+    compiled_product: bool = False
+    """Whether a compiled run keeps the product too (``product=True``):
+    the driver supplies a rank-stacked program that carries its blocks
+    through the batch schedule.  Rank-symmetric drivers without one fall
+    back to heap when asked for ``C``, so ``C`` is always produced."""
 
 
 def _feasible_grid(n: int, p: int) -> bool:
@@ -113,6 +120,7 @@ REGISTRY: dict[str, AlgorithmEntry] = {
             feasible=_feasible_grid,
             model_key="cannon",
             rank_symmetric=True,
+            compiled_product=True,
         ),
         AlgorithmEntry(
             key="fox",
@@ -168,5 +176,9 @@ def feasible_algorithms(n: int, p: int) -> list[str]:
 
 
 def run(key: str, A: np.ndarray, B: np.ndarray, p: int, machine: MachineParams, **kw):
-    """Run algorithm *key* on the given instance (convenience dispatcher)."""
+    """Run algorithm *key* on the given instance (convenience dispatcher).
+
+    Keywords go to the driver; ``product=False`` declares a timing-only
+    run (``C is None``) on every algorithm.
+    """
     return get(key).run(A, B, p, machine=machine, **kw)

@@ -74,6 +74,7 @@ def run_simple(
     trace: bool = False,
     scheduler: str | None = None,
     fault_plan: FaultPlan | None = None,
+    product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with the simple algorithm.
 
@@ -107,8 +108,11 @@ def run_simple(
 
     # both all-gathers are rank-symmetric over grid rows/columns (the
     # ring variant compiles at message level too; recursive doubling
-    # compiles via the macro-collective path)
-    symmetry = SymmetrySpec(
+    # compiles via the macro-collective path).  Only their timing
+    # replays: the ring all-gather files each block by the rank's own
+    # group position, which one rank-stacked body run as rank 0 would
+    # misplace, so a run that needs the product declares no symmetry.
+    symmetry = None if product else SymmetrySpec(
         partitions={
             "row": np.asarray(row_groups, dtype=np.int64),
             "col": np.asarray(col_groups, dtype=np.int64),
@@ -124,9 +128,8 @@ def run_simple(
         symmetry=symmetry,
     ).run(factories)
 
-    if sim.compiled:
-        C = None
-    else:
+    C = None
+    if product:
         C = np.zeros((n, n), dtype=np.result_type(A, B))
         for (i, j), c_block, _peak in sim.returns:
             C[spec.block_slice(i, j)] = c_block

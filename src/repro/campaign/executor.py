@@ -103,6 +103,7 @@ def _simulate_point(
             topology=_topology_for(scenario.topology, p),
             scheduler=scheduler,
             fault_plan=None if plan.is_null else plan,
+            product=C_ref is not None,
         )
     except tuple(exc for exc, _ in _SIGNATURES) as exc:
         for exc_type, outcome in _SIGNATURES:
@@ -120,7 +121,7 @@ def _simulate_point(
     row["faults_injected"] = res.sim.faults_injected
     row["checkpoint_time"] = res.sim.checkpoint_time
     row["recovery_time"] = res.sim.recovery_time
-    if C_ref is not None and res.C is not None and not np.allclose(res.C, C_ref):
+    if C_ref is not None and not np.allclose(res.C, C_ref):
         row["outcome"] = "numerical-mismatch"
         row["error"] = f"max abs deviation {float(np.max(np.abs(res.C - C_ref))):.3e}"
     return row

@@ -76,8 +76,9 @@ def _add_scheduler_arg(sub) -> None:
         "--scheduler", choices=SCHEDULERS, default=None,
         help="engine scheduler (results are bit-identical; 'heap' scales "
         "best past a few thousand ranks, 'compiled' replays rank-symmetric "
-        "programs as vectorized batch schedules — timing only, no product "
-        "matrix; see docs/performance.md)",
+        "programs as vectorized batch schedules and carries Cannon's blocks "
+        "to a verified product; other drivers fall back to heap when a "
+        "product is needed; see docs/performance.md)",
     )
 
 
@@ -226,10 +227,7 @@ def _cmd_run(args) -> str:
             f"(feasible here: {registry.feasible_algorithms(args.n, args.p)})"
         )
     result = entry.run(A, B, args.p, machine=machine, scheduler=args.scheduler)
-    if result.C is None:
-        ok = "skipped (trace-compiled run, timing only)"
-    else:
-        ok = np.allclose(result.C, A @ B)
+    ok = np.allclose(result.C, A @ B)
     model = MODELS[entry.model_key]
     return format_kv(
         f"{entry.title} - n={args.n}, p={args.p} on {machine.name} "

@@ -294,7 +294,10 @@ def simulated_prediction(
     This is the expensive, job-queue-backed sibling of :func:`predict`:
     the serve layer submits it to a worker pool and caches the result
     under a content-addressed key.  Deterministic for a given
-    ``(algorithm, n, p, machine, seed, scheduler)`` tuple.
+    ``(algorithm, n, p, machine, seed, scheduler)`` tuple.  A compiled
+    job on a rank-symmetric driver whose replay cannot carry the product
+    (``compiled_product`` false in the registry) runs timing-only and
+    reports ``verified: None``.
     """
     from repro.algorithms import registry
 
@@ -308,6 +311,10 @@ def simulated_prediction(
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
     kw: dict[str, Any] = {} if scheduler is None else {"scheduler": scheduler}
+    if scheduler == "compiled" and entry.rank_symmetric and not entry.compiled_product:
+        # a product would send the job to heap (minutes at p = 65536);
+        # the compiled replay answers in seconds, timing only
+        kw["product"] = False
     res = entry.run(A, B, p, machine=machine, **kw)
     model = MODELS[entry.model_key]
     applicable = bool(model.applicable(n, p))

@@ -130,19 +130,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="refinement gap tolerance per octave of cell extent")
     parser.add_argument("--p-values", type=int, nargs="+", default=None,
                         help="processor counts for scaling-large (each must be a "
-                             "perfect square; the heap scheduler carries 16384+)")
+                             "perfect square; compiled replay carries 16384+)")
     parser.add_argument("--n0", type=int, default=None,
                         help="per-rank base problem size for scaling-large")
     parser.add_argument("--no-verify", action="store_true",
-                        help="skip the host-side product check in scaling-large "
-                             "(the 16k smoke run uses this to stay under the "
-                             "tier-1 timeout)")
+                        help="skip the host-side product check in scaling-large; "
+                             "the drivers then build no product at all "
+                             "(timing only, as the 64k smoke run does)")
     parser.add_argument("--scheduler", type=str, default=None,
                         choices=SCHEDULERS,
                         help="engine scheduler for scaling-large (default: "
-                             "heap when verifying, compiled with --no-verify) "
-                             "and resilience (fault timelines are bit-identical "
-                             "across rescan/heap; see docs/performance.md)")
+                             "compiled, which carries Cannon's blocks when "
+                             "verifying) and resilience (fault timelines are "
+                             "bit-identical across rescan/heap; see "
+                             "docs/performance.md)")
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="directory for the persistent result cache "
                              "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -85,6 +85,7 @@ def _sim_point(
     machine: MachineParams,
     seed: int,
     verify: bool,
+    cannon_scheduler: str | None = "compiled",
 ) -> dict:
     """One matrix size of a figure (module-level so it pickles to workers).
 
@@ -95,7 +96,13 @@ def _sim_point(
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
     res_gk = run_gk_cm5(A, B, p_gk, machine=machine)
-    res_cn = run_cannon(A, B, p_cannon, machine=machine, topology=FullyConnected(p_cannon))
+    # Cannon is rank-symmetric: by default compiled replay carries its
+    # blocks through the batch schedule (C and timing bit-identical to the
+    # heap run); GK is not, so it runs on the process's dynamic scheduler
+    res_cn = run_cannon(
+        A, B, p_cannon, machine=machine, topology=FullyConnected(p_cannon),
+        scheduler=cannon_scheduler,
+    )
     if verify:
         expected = A @ B
         if not np.allclose(res_gk.C, expected) or not np.allclose(res_cn.C, expected):
@@ -120,16 +127,15 @@ def _run_figure(
     seed: int = 0,
     verify: bool = True,
     jobs: int = 1,
+    cannon_scheduler: str | None = "compiled",
 ) -> EfficiencyCurves:
+    args = (p_gk, p_cannon, machine, seed, verify, cannon_scheduler)
     if jobs > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
-            futures = [
-                pool.submit(_sim_point, n, p_gk, p_cannon, machine, seed, verify)
-                for n in sizes
-            ]
+            futures = [pool.submit(_sim_point, n, *args) for n in sizes]
             rows = [f.result() for f in futures]
     else:
-        rows = [_sim_point(n, p_gk, p_cannon, machine, seed, verify) for n in sizes]
+        rows = [_sim_point(n, *args) for n in sizes]
     ns = [r["n"] for r in rows]
     cross_sim = _curve_crossing(ns, [r["E_gk_sim"] for r in rows], [r["E_cannon_sim"] for r in rows])
     return EfficiencyCurves(
@@ -144,22 +150,39 @@ def _run_figure(
 
 
 def run_fig4(
-    machine: MachineParams = CM5, sizes=_FIG4_SIZES, seed: int = 0, jobs: int = 1
+    machine: MachineParams = CM5,
+    sizes=_FIG4_SIZES,
+    seed: int = 0,
+    jobs: int = 1,
+    cannon_scheduler: str | None = "compiled",
 ) -> EfficiencyCurves:
-    """Figure 4: Cannon vs GK at ``p = 64`` on the simulated CM-5."""
+    """Figure 4: Cannon vs GK at ``p = 64`` on the simulated CM-5.
+
+    *cannon_scheduler* picks Cannon's scheduler (``None``: the engine
+    default, like GK); every choice gives the same rows.
+    """
     return _run_figure(
         "fig4", sizes, 64, 64, machine,
         paper_predicted=83.0, paper_measured=96.0, seed=seed, jobs=jobs,
+        cannon_scheduler=cannon_scheduler,
     )
 
 
 def run_fig5(
-    machine: MachineParams = CM5, sizes=_FIG5_SIZES, seed: int = 0, jobs: int = 1
+    machine: MachineParams = CM5,
+    sizes=_FIG5_SIZES,
+    seed: int = 0,
+    jobs: int = 1,
+    cannon_scheduler: str | None = "compiled",
 ) -> EfficiencyCurves:
-    """Figure 5: Cannon at ``p = 484`` vs GK at ``p = 512`` on the simulated CM-5."""
+    """Figure 5: Cannon at ``p = 484`` vs GK at ``p = 512`` on the simulated CM-5.
+
+    *cannon_scheduler* as in :func:`run_fig4`.
+    """
     return _run_figure(
         "fig5", sizes, 512, 484, machine,
         paper_predicted=295.0, paper_measured=None, seed=seed, jobs=jobs,
+        cannon_scheduler=cannon_scheduler,
     )
 
 

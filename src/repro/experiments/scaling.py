@@ -137,12 +137,14 @@ def scaled_speedup(
     simulation confirms with full discrete-event runs.
 
     These are the largest complete simulations in the repo (4096 live
-    rank generators by default, 16384-65536 with the heap scheduler);
+    rank generators by default, 16384-65536 through compiled replay);
     the array-backed engine core, the macro-collective fast path, and
-    the event-heap scheduler are what keep them tractable.  *scheduler*
-    is forwarded to the engine (``None`` keeps the process default;
-    ``"heap"`` is what ``scaling-large`` uses past a few thousand
-    ranks — see docs/performance.md).
+    the trace compiler are what keep them tractable.  *scheduler* is
+    forwarded to the engine (``None`` keeps the process default;
+    ``"compiled"`` is what ``scaling-large`` uses — see
+    docs/performance.md).  *verify* checks every product against
+    ``A @ B``; without it the drivers run with ``product=False`` and no
+    product is built on any scheduler.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -155,14 +157,10 @@ def scaled_speedup(
             raise ValueError(f"{key} infeasible at n={n}, p={p}")
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        res = registry.run(key, A, B, p, machine, scheduler=scheduler)
+        res = registry.run(
+            key, A, B, p, machine, scheduler=scheduler, product=verify
+        )
         if verify:
-            if res.C is None:
-                raise ValueError(
-                    "verify=True needs a product matrix, but the run was "
-                    "trace-compiled (timing-only); use scheduler='heap' or "
-                    "verify=False"
-                )
             assert np.allclose(res.C, A @ B)
         rows.append(
             {
@@ -197,22 +195,15 @@ def run_large_p(
     """The ``scaling-large`` experiment: scaled speedup on big machines.
 
     Every *p* in *p_values* must be a perfect square.  With *scheduler*
-    left ``None`` the experiment picks for itself: verifying runs use the
-    event-heap scheduler (payloads must actually move to produce ``C``),
-    non-verifying runs use the trace compiler (``"compiled"``), whose
-    batch replay carries the sweep to 65536+ ranks (``make
-    scale-64k-smoke`` exercises the 64k point in CI; 16k via
-    ``scale-16k-smoke``).  Asking for ``scheduler="compiled"`` together
-    with ``verify=True`` is a contradiction and raises ``ValueError``.
+    left ``None`` the experiment uses the trace compiler
+    (``"compiled"``), whose batch replay carries the sweep to 65536+
+    ranks.  Verified runs move Cannon's blocks through the same replay
+    and check ``C``; ``verify=False`` runs pass ``product=False`` and
+    build no payloads (``make scale-16k-smoke`` runs the verified 16k
+    point in CI, ``make scale-64k-smoke`` the timing-only 64k point).
     """
     if scheduler is None:
-        scheduler = "heap" if verify else "compiled"
-    elif scheduler == "compiled" and verify:
-        raise ValueError(
-            "scheduler='compiled' replays timing without payloads, so there "
-            "is no product matrix to verify; pass verify=False (or another "
-            "scheduler)"
-        )
+        scheduler = "compiled"
     return {
         "scaled_cannon": scaled_speedup(
             "cannon", n0=n0, p_values=p_values, machine=machine,

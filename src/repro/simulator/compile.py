@@ -36,9 +36,10 @@ resumes:
 
 What falls back (by design, not by accident):
 
-* no :class:`SymmetrySpec` from the driver, or tracing / link contention
-  / an active fault plan (those regimes need live per-rank event
-  interleaving);
+* no :class:`SymmetrySpec` from the driver (a driver that cannot carry
+  the product it was asked for, e.g. over ragged blocks, passes none),
+  or tracing / link contention / an active fault plan (those regimes
+  need live per-rank event interleaving);
 * any probe whose ``Recv`` precedes a reflectable ``Send`` (rooted
   broadcasts, relay chains — genuinely position-dependent programs);
 * ``bcast``/``reduce`` macro collectives (their results are real merged
@@ -50,9 +51,24 @@ What falls back (by design, not by accident):
 * probe traces that disagree structurally, or peers no single law
   explains.
 
-Compiled runs return ``returns=[None]*p`` (no payloads move), so drivers
-surface ``C=None``; timing, stats, and message/word counts are the
-deliverable at this scale.
+Payloads ride along when the caller needs them.  A driver that wants
+every rank's return value (the product matrix) supplies
+``SymmetrySpec(stacked=...)``: the same rank program body bound *once* to rank-stacked operands — ``(p, ...)`` arrays
+whose leading axis is the rank.  The replay drives that one generator in
+lockstep with the lowered phases: each ``Send`` payload is stashed on
+its :class:`SymSend`, each ``Recv`` is resumed with the stash permuted
+along the phase's compiled source vector (``payload[src]``), and macro
+``shift`` collectives permute along their group axis.  Local
+arithmetic therefore runs once per program step over the whole stack
+(Cannon's ``c + a @ b`` becomes one batched matmul), and the stacked
+return value is split back into ``returns[r]``.  The stacked body must
+not depend on the rank's own position except through its peers (it runs
+as rank 0); a request stream that stops matching the phases, a payload
+without the rank axis, or a macro collective other than ``shift``
+raises :class:`CompileFallback` and the run goes to ``heap``.  Without
+``stacked`` the replay moves no payloads and ``returns`` is
+``[None]*p`` — the timing-only mode for callers that declare they need
+no product.
 """
 
 from __future__ import annotations
@@ -115,10 +131,18 @@ class SymmetrySpec:
     *extra_probes* optionally adds ranks to the probe set (the default
     probes are the first/second/last members of each axis's first group,
     the last member of its last group, and the global corner ranks).
+
+    *stacked* carries every rank's return value through a compiled run:
+    a program factory (called with rank 0's :class:`RankInfo`) running
+    the same body over rank-stacked operands — every rank-dependent
+    value is an array whose leading axis is the rank, every other value
+    is the same on all ranks.  Without it a compiled run is timing-only
+    and ``SimResult.returns`` is ``[None] * p``.
     """
 
     partitions: Mapping[str, Any]
     extra_probes: tuple[int, ...] = ()
+    stacked: Callable[[Any], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -360,6 +384,153 @@ def _peer_vector(ax: _Axis, law: str, d: int) -> np.ndarray:
     return ax.mat[ax.row, newpos]
 
 
+# -- payload carrying -----------------------------------------------------------
+
+_REQUEST_OF: dict[type, type] = {
+    SymCompute: Compute,
+    SymSend: Send,
+    SymSendAll: SendAll,
+    SymRecv: Recv,
+    SymBarrier: Barrier,
+    SymCollective: CollectiveOp,
+}
+
+
+def _check_stacked(value: Any, p: int, what: str) -> None:
+    """Fallback unless every array in *value* carries the rank axis first."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0 or value.shape[0] != p:
+            raise CompileFallback(
+                f"{what}: array of shape {value.shape} is not rank-stacked "
+                f"(leading axis must be p={p})"
+            )
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _check_stacked(v, p, what)
+    elif isinstance(value, dict):
+        raise CompileFallback(f"{what}: dict payloads cannot be rank-stacked")
+
+
+def _route(value: Any, src: np.ndarray) -> Any:
+    """*value* as received: rank ``r`` gets rank ``src[r]``'s slice."""
+    if isinstance(value, np.ndarray):
+        return value[src]
+    if isinstance(value, (tuple, list)):
+        return type(value)(_route(v, src) for v in value)
+    return value  # rank-invariant
+
+
+def _unstack(value: Any, p: int) -> list[Any]:
+    """Split a rank-stacked return value into one value per rank."""
+    if isinstance(value, np.ndarray):
+        return value.tolist() if value.ndim == 1 else list(value)
+    if isinstance(value, (tuple, list)):
+        if not value:
+            return [type(value)() for _ in range(p)]
+        return [type(value)(row) for row in zip(*(_unstack(v, p) for v in value))]
+    return [value] * p
+
+
+class _PayloadCarrier:
+    """Drives one rank-stacked program in lockstep with a schedule's phases.
+
+    The program yields the same request stream as every rank's own
+    program; each phase checks that the next request has the phase's
+    kind (and rank 0's peer and tag), then resumes the program with the
+    routed payload.  Anything that does not line up raises
+    :class:`CompileFallback`.
+    """
+
+    __slots__ = ("gen", "p", "req", "done", "value")
+
+    def __init__(self, gen: Any, p: int) -> None:
+        self.gen = gen
+        self.p = p
+        self.done = False
+        self.value: Any = None
+        self.req = self._resume(None)
+
+    def _resume(self, value: Any) -> Any:
+        try:
+            req = self.gen.send(value)
+            while req.__class__ is Checkpoint:
+                req = self.gen.send(None)
+        except StopIteration as stop:
+            self.done = True
+            self.value = stop.value
+            return None
+        except CompileFallback:
+            raise
+        except Exception as exc:
+            raise CompileFallback(
+                f"stacked program raised {type(exc).__name__}: {exc}"
+            ) from exc
+        return req
+
+    def _mismatch(self, ph: SymPhase, detail: str) -> CompileFallback:
+        got = "its return" if self.req is None else type(self.req).__name__
+        return CompileFallback(
+            f"stacked program reached {got} at a {type(ph).__name__} phase: {detail}"
+        )
+
+    def step(self, ph: SymPhase) -> None:
+        req = self.req
+        cls = ph.__class__
+        if req.__class__ is not _REQUEST_OF[cls]:
+            raise self._mismatch(ph, "request kinds diverge")
+        value: Any = None
+        if cls is SymSend:
+            self._stash(ph, req)
+        elif cls is SymSendAll:
+            if len(req.messages) != len(ph.parts):
+                raise self._mismatch(ph, "SendAll widths differ")
+            for sp, m in zip(ph.parts, req.messages):
+                self._stash(sp, m)
+        elif cls is SymRecv:
+            if req.src != ph.src[0] or req.tag != ph.tag:
+                raise self._mismatch(ph, "rank 0's source or tag differs")
+            src_phase = ph.source
+            assert src_phase is not None
+            value = _route(src_phase.payload, ph.src)
+            src_phase.payload = None  # each send is matched exactly once
+        elif cls is SymCollective:
+            value = self._collective(ph, req)
+        self.req = self._resume(value)
+
+    def _stash(self, ph: SymSend, req: Send) -> None:
+        if req.dst != ph.dst[0] or req.tag != ph.tag:
+            raise self._mismatch(ph, "rank 0's destination or tag differs")
+        _check_stacked(req.data, self.p, "Send payload")
+        ph.payload = req.data
+
+    def _collective(self, ph: SymCollective, req: CollectiveOp) -> Any:
+        groups = ph.groups
+        g = int(groups.shape[1])
+        row0 = groups[int(np.flatnonzero((groups == 0).any(axis=1))[0])]
+        if req.kind != ph.kind or list(req.group) != row0.tolist():
+            raise self._mismatch(ph, "collective kind or rank 0's group differs")
+        if req.kind != "shift":
+            raise CompileFallback(
+                f"macro collective {req.kind!r}: only shift payloads are carried"
+            )
+        if int(req.offset) % g != ph.offset:
+            raise self._mismatch(ph, "shift offsets differ")
+        _check_stacked(req.data, self.p, "shift payload")
+        # the reference receives from group position (idx - offset) % g
+        pos = (np.arange(g) - ph.offset) % g
+        src = np.empty(self.p, dtype=np.int64)
+        src[groups] = groups[:, pos]
+        return _route(req.data, src)
+
+    def finish(self) -> list[Any]:
+        if not self.done:
+            raise CompileFallback(
+                "stacked program issues more requests than the schedule has phases"
+            )
+        _check_stacked(self.value, self.p, "return value")
+        return _unstack(self.value, self.p)
+
+
 class BatchSchedule:
     """A lowered SPMD program: one symbolic phase per program step."""
 
@@ -376,12 +547,48 @@ class BatchSchedule:
         return len(self.phases)
 
     def replay(
-        self, arr: RankArrays, topology: Topology, machine: MachineParams
+        self,
+        arr: RankArrays,
+        topology: Topology,
+        machine: MachineParams,
+        program: Any = None,
+    ) -> list[Any] | None:
+        """Charge the whole schedule into *arr* — zero per-rank generator resumes.
+
+        With *program* (a started-fresh generator of a
+        :attr:`SymmetrySpec.stacked` factory) the payloads move too and
+        the per-rank return values come back; without one the replay is
+        timing-only and returns ``None``.  Raises
+        :class:`CompileFallback` when the program does not follow the
+        schedule.
+        """
+        if program is None:
+            self._charge(arr, topology, machine, None)
+            return None
+        try:
+            carrier = _PayloadCarrier(program, self.nprocs)
+            self._charge(arr, topology, machine, carrier)
+            return carrier.finish()
+        finally:
+            program.close()
+            # drop stashes an aborted replay left in flight
+            for ph in self.phases:
+                for sp in ph.parts if ph.__class__ is SymSendAll else (ph,):
+                    if sp.__class__ is SymSend:
+                        sp.payload = None
+
+    def _charge(
+        self,
+        arr: RankArrays,
+        topology: Topology,
+        machine: MachineParams,
+        carrier: _PayloadCarrier | None,
     ) -> None:
-        """Charge the whole schedule into *arr* — zero generator resumes."""
         clock = arr.clock
         all_port = machine.all_port
         for ph in self.phases:
+            if carrier is not None:
+                carrier.step(ph)
             cls = ph.__class__
             if cls is SymCompute:
                 arr.compute_time += ph.cost

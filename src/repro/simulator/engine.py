@@ -219,9 +219,10 @@ class SimResult:
 
     compiled: bool = False
     """True when the run was trace-compiled and replayed as a batch
-    schedule.  Compiled runs move no payloads: ``returns`` is all
-    ``None`` and drivers surface ``C=None``; clocks, stats, and
-    message/word counts are bit-identical to the ``heap`` scheduler."""
+    schedule; clocks, stats, and message/word counts are bit-identical
+    to the ``heap`` scheduler.  ``returns`` holds every rank's return
+    value when the :class:`SymmetrySpec` carries them (its ``stacked``
+    program) and is all ``None`` for a timing-only replay."""
 
     compile_fallback: str | None = None
     """Why a ``scheduler="compiled"`` request fell back to ``heap``
@@ -410,34 +411,43 @@ class Engine:
         )
 
         if scheduler == "compiled":
-            assert self.symmetry is not None  # _compiled_blocker checked
+            symmetry = self.symmetry
+            assert symmetry is not None  # _compiled_blocker checked
+
+            def make_info(r: int) -> RankInfo:
+                return RankInfo(
+                    rank=r,
+                    nprocs=p,
+                    topology=self.topology,
+                    machine=self.machine,
+                    macro_collectives=macro_ok,
+                )
+
             try:
                 schedule = compile_spmd(
                     factories,
                     self.topology,
                     self.machine,
-                    self.symmetry,
-                    make_info=lambda r: RankInfo(
-                        rank=r,
-                        nprocs=p,
-                        topology=self.topology,
-                        machine=self.machine,
-                        macro_collectives=macro_ok,
-                    ),
+                    symmetry,
+                    make_info=make_info,
                 )
+                arr = RankArrays(p)
+                self._arr = arr
+                program = (
+                    None if symmetry.stacked is None
+                    else symmetry.stacked(make_info(0))
+                )
+                returns = schedule.replay(arr, self.topology, self.machine, program)
             except CompileFallback as exc:
                 # probe generators were consumed, but factories are
                 # re-invoked fresh below — recording left no other state
                 compile_fallback = str(exc)
                 scheduler = "heap"
             else:
-                arr = RankArrays(p)
-                self._arr = arr
-                schedule.replay(arr, self.topology, self.machine)
                 return SimResult(
                     parallel_time=float(arr.clock.max()) if p else 0.0,
                     stats=arr.snapshot(),
-                    returns=[None] * p,
+                    returns=[None] * p if returns is None else returns,
                     trace=self.trace,
                     nprocs=p,
                     compiled=True,
@@ -500,7 +510,10 @@ class Engine:
     def _compiled_blocker(self) -> str | None:
         """Why ``scheduler="compiled"`` must fall back before even probing."""
         if self.symmetry is None:
-            return "no SymmetrySpec provided (driver does not declare rank symmetry)"
+            return (
+                "no SymmetrySpec provided (driver does not declare rank "
+                "symmetry, or cannot carry the requested product)"
+            )
         if self.trace.enabled:
             return "tracing enabled"
         if self.link_contention:

@@ -210,7 +210,8 @@ class SymSend:
 
     ``arrival`` is filled in during replay with the per-sender arrival
     vector; the matched :class:`SymRecv` phase reads it back through its
-    source-rank vector.
+    source-rank vector.  ``payload`` likewise holds the rank-stacked
+    message data while a payload-carrying replay has it in flight.
     """
 
     dst: np.ndarray
@@ -218,6 +219,7 @@ class SymSend:
     nwords: int
     tag: int = 0
     arrival: np.ndarray | None = None
+    payload: Any = None
 
 
 @dataclass(slots=True)

@@ -101,6 +101,13 @@ class TestSchedulers:
         rec = execute_scenario(s, OracleConfig())
         assert rec["anomalies"] == []
 
+    def test_compiled_scenario_executes_verified(self):
+        s = scenario(scheduler="compiled")
+        assert s.verify
+        rec = execute_scenario(s, OracleConfig())
+        assert rec["status"] == "ok", rec["anomalies"]
+        assert all(r["outcome"] == "ok" for r in rec["rows"])
+
     def test_compiled_scenario_executes_timing_only(self):
         s = scenario(scheduler="compiled", verify=False)
         rec = execute_scenario(s, OracleConfig())

@@ -3,10 +3,12 @@
 The trace compiler's contract has two halves and both are load-bearing:
 
 * when it engages, every observable of the run — ``T_p``, all per-rank
-  accounts, message/word totals — must be **bit-identical** to the
+  accounts, message/word totals, and (when the product is requested)
+  ``C`` and the rank return values — must be **bit-identical** to the
   generator schedulers (heap and the rescan reference), because the
   replay path evaluates the exact same IEEE expressions via
-  :mod:`repro.simulator.charging`;
+  :mod:`repro.simulator.charging` and runs the same rank body over
+  stacked blocks;
 * when the program is not provably rank-symmetric (position-dependent
   traffic, unsupported collectives, tracing/faults/contention), it must
   fall back to the heap scheduler **silently and correctly**, recording
@@ -61,48 +63,90 @@ DRIVER_CASES = [
 ]
 
 
-def _run_driver(key, n, p, scheduler):
+def _operands(key, n):
     rng = np.random.default_rng((hash(key) & 0xFFFF, n))
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
-    return registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler)
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+def _run_driver(key, n, p, scheduler, **kwargs):
+    A, B = _operands(key, n)
+    return registry.run(
+        key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler, **kwargs
+    )
+
+
+def assert_same_returns(got, want):
+    """Rank return values equal field by field (arrays bitwise)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert np.array_equal(g, w)
+        elif isinstance(w, (tuple, list)):
+            assert len(g) == len(w)
+            assert_same_returns(list(g), list(w))
+        else:
+            assert g == w
 
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
 def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypatch):
+    """The timing-only replay (``product=False``) of every driver that
+    compiles matches heap and rescan on every per-rank account."""
     if macro:
         monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
-    res_c = _run_driver(key, n, p, "compiled")
+    res_c = _run_driver(key, n, p, "compiled", product=False)
     res_h = _run_driver(key, n, p, "heap")
     res_r = _run_driver(key, n, p, "rescan")
     _assert_identical(res_c.sim, res_h.sim, p)
     _assert_identical(res_c.sim, res_r.sim, p)
+    assert res_c.C is None
     if res_c.sim.compiled:
-        assert res_c.C is None
         assert res_c.sim.returns == [None] * p
         assert res_c.sim.compile_fallback is None
     else:
         assert res_c.sim.compile_fallback
-        rng = np.random.default_rng((hash(key) & 0xFFFF, n))
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
 
+@pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
-def test_compiled_engagement_matches_registry_annotation(key, n, p, monkeypatch):
+def test_compiled_product_matches_heap_on_drivers(key, n, p, macro, monkeypatch):
+    """A compiled run that needs the product keeps it: either the blocks
+    rode the replay (C and returns bitwise equal to heap's) or the run
+    fell back to heap with a reason — never ``C is None``."""
+    if macro:
+        monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    res_c = _run_driver(key, n, p, "compiled")
+    res_h = _run_driver(key, n, p, "heap")
+    _assert_identical(res_c.sim, res_h.sim, p)
+    if res_c.sim.compiled:
+        assert registry.get(key).compiled_product
+        assert res_c.sim.compile_fallback is None
+    else:
+        assert res_c.sim.compile_fallback
+    assert np.array_equal(res_c.C, res_h.C)
+    assert_same_returns(res_c.sim.returns, res_h.sim.returns)
+    A, B = _operands(key, n)
+    np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["timing-only", "product"])
+@pytest.mark.parametrize("key,n,p", DRIVER_CASES)
+def test_compiled_engagement_matches_registry_annotation(key, n, p, product, monkeypatch):
     """With the macro path available, engagement == the library annotation.
 
     ``rank_symmetric`` advertises whether the default driver config
-    compiles; the group-size cutoff is pinned to 2 so the small test
-    grids take the same macro executors the 64k runs do.
+    compiles for timing; with the product requested only the drivers
+    marked ``compiled_product`` stay compiled.  The group-size cutoff is
+    pinned to 2 so the small test grids take the same macro executors
+    the 64k runs do.
     """
     monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
-    res = _run_driver(key, n, p, "compiled")
-    assert res.sim.compiled == registry.get(key).rank_symmetric, (
-        res.sim.compile_fallback
-    )
+    res = _run_driver(key, n, p, "compiled", product=product)
+    entry = registry.get(key)
+    expected = entry.rank_symmetric and (entry.compiled_product or not product)
+    assert res.sim.compiled == expected, res.sim.compile_fallback
+    assert (res.C is not None) == product
 
 
 def test_cannon_p1024_compiled_bit_identical(monkeypatch):
@@ -140,7 +184,7 @@ def test_simple_on_mesh_ring_allgather_compiles():
     B = rng.standard_normal((16, 16))
     topo = Mesh2D(4, 4)
     res_c = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
-                       scheduler="compiled")
+                       scheduler="compiled", product=False)
     res_h = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
                        scheduler="heap")
     assert res_c.sim.compiled, res_c.sim.compile_fallback

@@ -1,5 +1,7 @@
 """Tests for the scaling experiment (Section 3's premises in simulation)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import scaling
@@ -77,3 +79,29 @@ class TestScaledSpeedup:
         text = scaling.format_large_p_text(res)
         assert "scaled speedup" in text
         assert "cannon" in text
+
+    def test_verified_compiled_scaled_speedup_matches_heap(self):
+        """Verification no longer forces the heap: compiled replay carries
+        the blocks and the product check runs on its ``C``."""
+        kw = dict(n0=4, p_values=(16, 64), verify=True)
+        compiled = scaling.scaled_speedup("cannon", scheduler="compiled", **kw)
+        heap = scaling.scaled_speedup("cannon", scheduler="heap", **kw)
+        assert compiled == heap
+
+    def test_run_large_p_defaults_to_compiled_with_product(self, monkeypatch):
+        from repro.algorithms import registry
+
+        seen = []
+        original = registry.REGISTRY["cannon"]
+
+        def spy(*args, **kwargs):
+            res = original.run(*args, **kwargs)
+            seen.append((kwargs["scheduler"], kwargs["product"], res.sim.compiled,
+                         res.C is not None))
+            return res
+
+        monkeypatch.setitem(registry.REGISTRY, "cannon",
+                            dataclasses.replace(original, run=spy))
+        scaling.run_large_p(p_values=(16,), n0=4)
+        scaling.run_large_p(p_values=(16,), n0=4, verify=False)
+        assert seen == [("compiled", True, True, True), ("compiled", False, True, False)]

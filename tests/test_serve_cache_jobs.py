@@ -93,6 +93,22 @@ class TestServeTier:
         assert tier.stats()["lru"]["hits"] == 1
 
 
+@pytest.mark.parametrize(
+    "algorithm,n,p,verified",
+    [("cannon", 16, 16, True), ("simple", 16, 16, None), ("berntsen", 8, 8, None),
+     ("gk", 16, 8, True)],
+)
+def test_compiled_job_verified_unless_timing_only(algorithm, n, p, verified):
+    """A compiled job verifies its product where the replay (Cannon) or the
+    heap fallback (GK) yields one; simple and Berntsen run timing-only
+    rather than falling back to heap, with the heap run's timing."""
+    got = simulated_prediction(algorithm, n, p, NCUBE, scheduler="compiled")
+    heap = simulated_prediction(algorithm, n, p, NCUBE, scheduler="heap")
+    assert got["verified"] is verified
+    assert heap["verified"] is True
+    assert got["simulated_time"] == heap["simulated_time"]
+
+
 class TestJobQueue:
     def test_lifecycle_and_cached_resubmit(self):
         async def go():
