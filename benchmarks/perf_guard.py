@@ -22,7 +22,7 @@ implementation it replaced:
   generator resumes, so its advantage grows with rank count; the run is
   first cross-checked bit-identical against the heap at ``p <= 4096``
   (every per-rank account), then timed.  Gated at >= 8x on the full run.
-* ``memory`` — peak RSS (``resource.getrusage``) of subprocess Cannon
+* ``memory`` — peak RSS (each child's own ``VmHWM``) of subprocess Cannon
   runs at ``p = 16384`` (``--fast``: 1024) under the heap vs compiled
   schedulers (the compiled replay never materializes 16k generators),
   plus an in-process ``tracemalloc`` smoke pass recording traced peak
@@ -406,8 +406,21 @@ def bench_engine_compiled(fast: bool, repeats: int) -> dict:
     }
 
 
-_MEMORY_SNIPPET = """
-import json, resource, sys
+# The child's own peak resident set.  ``VmHWM`` starts afresh at exec;
+# ``getrusage(RUSAGE_SELF).ru_maxrss`` does not on Linux — a child
+# inherits its parent's high-water mark across fork+exec, so it would
+# report this script's peak instead of the run's.
+_VM_HWM_READER = """
+def vm_hwm_kb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError("no VmHWM line in /proc/self/status")
+"""
+
+_MEMORY_SNIPPET = _VM_HWM_READER + """
+import json, sys
 import numpy as np
 from repro.algorithms.cannon import run_cannon
 p, sched = int(sys.argv[1]), sys.argv[2]
@@ -417,7 +430,7 @@ A = rng.standard_normal((side, side))
 B = rng.standard_normal((side, side))
 res = run_cannon(A, B, p, scheduler=sched)
 print(json.dumps({
-    "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "vm_hwm_kb": vm_hwm_kb(),
     "t_p": res.parallel_time,
     "compiled": res.sim.compiled,
 }))
@@ -427,9 +440,9 @@ print(json.dumps({
 def bench_memory(fast: bool) -> dict:
     """Peak RSS and allocation footprint, heap vs compiled schedulers.
 
-    RSS is measured in a subprocess per scheduler (``ru_maxrss`` covers
-    the whole run, and a fresh interpreter keeps the two measurements
-    from polluting each other); the tracemalloc smoke pass runs
+    RSS is measured in a subprocess per scheduler (the child's own
+    ``VmHWM`` covers the whole run, and a fresh interpreter keeps the two
+    measurements from polluting each other); the tracemalloc smoke pass runs
     in-process at ``p = 1024`` and records the traced peak plus live
     allocation blocks right after the run.
     """
@@ -461,9 +474,9 @@ def bench_memory(fast: bool) -> dict:
         smoke[sched] = {"traced_peak_bytes": peak, "live_blocks": blocks}
     return {
         "p": p,
-        "ru_maxrss_kb": {s: r["ru_maxrss_kb"] for s, r in rss.items()},
+        "vm_hwm_kb": {s: r["vm_hwm_kb"] for s, r in rss.items()},
         "rss_ratio_heap_over_compiled":
-            rss["heap"]["ru_maxrss_kb"] / rss["compiled"]["ru_maxrss_kb"],
+            rss["heap"]["vm_hwm_kb"] / rss["compiled"]["vm_hwm_kb"],
         "tracemalloc_smoke_p1024": smoke,
     }
 
@@ -827,8 +840,8 @@ def main(argv=None) -> int:
               f"compiled {sz['compiled_s']:.3f}s ({sz['speedup']:.1f}x)  "
               f"identical {sz['identical_to_heap']}")
     mem = report["memory"]
-    print(f"memory:     p={mem['p']} rss heap {mem['ru_maxrss_kb']['heap']}kB "
-          f"compiled {mem['ru_maxrss_kb']['compiled']}kB "
+    print(f"memory:     p={mem['p']} VmHWM heap {mem['vm_hwm_kb']['heap']}kB "
+          f"compiled {mem['vm_hwm_kb']['compiled']}kB "
           f"(ratio {mem['rss_ratio_heap_over_compiled']:.2f}x)")
     print(f"sweep:      seed {report['sweep']['seed_style_s']:.3f}s  "
           f"cold {report['sweep']['new_cold_s']:.3f}s ({report['sweep']['cold_speedup']:.2f}x)  "

@@ -159,30 +159,30 @@ def run_cannon(
     # at 64k+ ranks the per-rank copies dominated the driver's footprint)
     row_groups = [[layout[i][c] for c in range(side)] for i in range(side)]
     col_groups = [[layout[r][j] for r in range(side)] for j in range(side)]
+    # ij[:, rank] = the rank's grid position
+    ij = np.empty((2, p), dtype=np.int64)
+    ij[:, np.asarray(layout, dtype=np.int64).ravel()] = np.divmod(np.arange(p), side)
 
-    factories: list = [None] * p
-    a_by_rank: list = [None] * p
-    b_by_rank: list = [None] * p
-    for i in range(side):
-        for j in range(side):
-            if align == "pre":
-                a0 = a_blocks[i][(i + j) % side]
-                b0 = b_blocks[(i + j) % side][j]
-            else:
-                a0 = a_blocks[i][j]
-                b0 = b_blocks[i][j]
-            a_by_rank[layout[i][j]] = a0
-            b_by_rank[layout[i][j]] = b0
-            factories[layout[i][j]] = cannon_program(
-                i,
-                j,
-                a0,
-                b0,
-                row_groups[i],
-                col_groups[j],
-                align_charged=(align == "charged"),
-                overlap_shifts=overlap_shifts,
-            )
+    def blocks_at(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        if align == "pre":
+            return a_blocks[i][(i + j) % side], b_blocks[(i + j) % side][j]
+        return a_blocks[i][j], b_blocks[i][j]
+
+    def program(info: RankInfo):
+        # one factory for every rank: a compiled replay only ever runs
+        # the probe ranks, so no per-rank closure is built up front
+        i, j = int(ij[0, info.rank]), int(ij[1, info.rank])
+        a0, b0 = blocks_at(i, j)
+        return cannon_program(
+            i,
+            j,
+            a0,
+            b0,
+            row_groups[i],
+            col_groups[j],
+            align_charged=(align == "charged"),
+            overlap_shifts=overlap_shifts,
+        )(info)
 
     # the roll phase is rank-symmetric over grid rows and columns; the
     # charged alignment shifts are not (offsets depend on i, j), so only
@@ -196,16 +196,13 @@ def run_cannon(
             # the payload carrier: this driver's body over rank-stacked
             # blocks, run as rank 0; the engine builds it only for a
             # compiled replay
-            ij = np.empty((2, p), dtype=np.int64)
-            ij[:, np.asarray(layout, dtype=np.int64).ravel()] = np.divmod(
-                np.arange(p), side
-            )
+            pairs = [blocks_at(i, j) for i, j in zip(ij[0].tolist(), ij[1].tolist())]
             i0, j0 = ij[:, 0]
             return cannon_program(
                 ij[0],
                 ij[1],
-                np.stack(a_by_rank),
-                np.stack(b_by_rank),
+                np.stack([a for a, _ in pairs]),
+                np.stack([b for _, b in pairs]),
                 row_groups[i0],
                 col_groups[j0],
                 overlap_shifts=overlap_shifts,
@@ -226,7 +223,7 @@ def run_cannon(
         scheduler=scheduler,
         fault_plan=fault_plan,
         symmetry=symmetry,
-    ).run(factories)
+    ).run(program)
 
     C = None
     if product:

@@ -174,9 +174,18 @@ class BlockSpec:
     # -- scatter / gather ----------------------------------------------------------
 
     def scatter(self, m: np.ndarray) -> list[list[np.ndarray]]:
-        """Split matrix *m* into a ``grows x gcols`` nested list of block copies."""
+        """Split matrix *m* into a ``grows x gcols`` nested list of block copies.
+
+        Uniform blocks are views of one C-contiguous ``(grows, gcols, br,
+        bc)`` copy of *m*: each is contiguous and shares memory with no
+        other block and not with *m*.
+        """
         if m.shape != (self.nrows, self.ncols):
             raise ValueError(f"matrix shape {m.shape} != spec {(self.nrows, self.ncols)}")
+        if self.uniform:
+            br, bc = self.nrows // self.grows, self.ncols // self.gcols
+            tiles = m.reshape(self.grows, br, self.gcols, bc).swapaxes(1, 2).copy()
+            return [list(row) for row in tiles]
         return [
             [np.ascontiguousarray(m[self.block_slice(bi, bj)]) for bj in range(self.gcols)]
             for bi in range(self.grows)

@@ -24,13 +24,16 @@ resumes:
    program on the ``heap`` scheduler.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
-   and hop fields are precomputed ``(p,)`` vectors.  Sends and receives
-   are FIFO-matched per (tag, law) channel at compile time, and replay
-   charges each phase as one vectorized update into
+   and hop fields are precomputed ``(p,)`` vectors, built once per
+   ``(axis, law, offset)`` and shared read-only between phases.  Sends
+   and receives are FIFO-matched per (tag, law) channel at compile
+   time, and replay charges each phase as one vectorized update into
    :class:`~repro.simulator.trace.RankArrays` through the shared
-   :mod:`repro.simulator.charging` helpers, with macro collectives
-   dispatched to the cross-group batch executors in
-   :mod:`repro.simulator.macro`.  The replay evaluates exactly the
+   :mod:`repro.simulator.charging` helpers.  A macro ``shift`` is one
+   fixed permutation, so it is charged the same way on its precomputed
+   absolute-rank ``dst``/``src``/``hops``; the other macro collectives
+   go to the cross-group batch executors in :mod:`repro.simulator.macro`
+   (``run_batch_collective``).  The replay evaluates exactly the
    reference cost expressions elementwise, so a compiled run is
    bit-identical to ``heap``/``rescan`` whenever it compiles at all.
 
@@ -58,7 +61,7 @@ whose leading axis is the rank.  The replay drives that one generator in
 lockstep with the lowered phases: each ``Send`` payload is stashed on
 its :class:`SymSend`, each ``Recv`` is resumed with the stash permuted
 along the phase's compiled source vector (``payload[src]``), and macro
-``shift`` collectives permute along their group axis.  Local
+``shift`` collectives permute by their precomputed ``src``.  Local
 arithmetic therefore runs once per program step over the whole stack
 (Cannon's ``c + a @ b`` becomes one batched matmul), and the stacked
 return value is split back into ``returns[r]``.  The stacked body must
@@ -225,17 +228,16 @@ def _reflect(value: Any) -> Any:
 
 def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
     """The structural stand-in a probe is resumed with for a macro collective."""
-    group = list(req.group)
-    g = len(group)
     if req.kind == "shift":
         # reference returns the (src)-neighbor's payload: same structure
         return req.data
+    g = len(req.group)
     if req.kind in ("allgather_rd", "allgather_ring"):
         return [req.data] * g
     # reduce_scatter: walk the recursive-halving index arithmetic for
     # this rank's position; values are the probe's own (unsummed) words
     # but the slice geometry — all that can feed back into timing — is exact
-    idx = group.index(rank)
+    idx = list(req.group).index(rank)
     flat = req.data
     lo, hi = 0, int(flat.size)
     block = g
@@ -252,11 +254,12 @@ def _synthesize_collective(req: CollectiveOp, rank: int) -> Any:
 
 def _record_collective(req: CollectiveOp, rank: int, ops: list[tuple]) -> Any:
     kind = req.kind
-    if kind not in BATCH_KINDS:
+    if kind != "shift" and kind not in BATCH_KINDS:
         raise CompileFallback(
             f"macro collective {kind!r} moves real payloads; not compilable"
         )
-    group = tuple(int(x) for x in req.group)
+    # hashed once, when _lower looks it up among the symmetry-axis rows
+    group = tuple(req.group)
     g = len(group)
     if kind in ("allgather_rd", "reduce_scatter") and (g & (g - 1)):
         raise CompileFallback(f"{kind!r} needs a power-of-two group, got g={g}")
@@ -376,12 +379,45 @@ def _infer_law(
     raise CompileFallback(f"no cyclic/exchange law explains {what} peers {peers!r}")
 
 
-def _peer_vector(ax: _Axis, law: str, d: int) -> np.ndarray:
-    if law == "cyc":
-        newpos = (ax.pos + d) % ax.g
-    else:
-        newpos = ax.pos ^ d
-    return ax.mat[ax.row, newpos]
+class _Routes:
+    """Absolute-rank routing vectors of one lowering, shared between phases.
+
+    Every phase with the same ``(axis, law, d)`` gets the *same*
+    read-only ``(p,)`` peer vector, and every send over it the same hop
+    vector, so a schedule holds one array per distinct permutation
+    rather than one per phase.
+    """
+
+    __slots__ = ("axes", "hop_cache", "everyone", "_peers", "_hops")
+
+    def __init__(self, axes: dict[str, _Axis], topology: Topology, p: int) -> None:
+        self.axes = axes
+        self.hop_cache = PairHopCache.shared(topology)
+        self.everyone = np.arange(p, dtype=np.int64)
+        self._peers: dict[tuple[str, str, int], np.ndarray] = {}
+        self._hops: dict[tuple[str, str, int], np.ndarray] = {}
+
+    def peers(self, axis: str, law: str, d: int) -> np.ndarray:
+        """``peer[r]``: rank *r*'s partner under *law* with offset *d* on *axis*."""
+        key = (axis, law, d)
+        vec = self._peers.get(key)
+        if vec is None:
+            ax = self.axes[axis]
+            newpos = (ax.pos + d) % ax.g if law == "cyc" else ax.pos ^ d
+            vec = self._peers[key] = ax.mat[ax.row, newpos]
+            vec.flags.writeable = False
+        return vec
+
+    def hops(self, axis: str, law: str, d: int) -> np.ndarray:
+        """Routed hops from every rank to its ``peers(axis, law, d)`` partner."""
+        key = (axis, law, d)
+        vec = self._hops.get(key)
+        if vec is None:
+            vec = self._hops[key] = self.hop_cache.bulk(
+                self.everyone, self.peers(axis, law, d)
+            )
+            vec.flags.writeable = False
+        return vec
 
 
 # -- payload carrying -----------------------------------------------------------
@@ -516,11 +552,7 @@ class _PayloadCarrier:
         if int(req.offset) % g != ph.offset:
             raise self._mismatch(ph, "shift offsets differ")
         _check_stacked(req.data, self.p, "shift payload")
-        # the reference receives from group position (idx - offset) % g
-        pos = (np.arange(g) - ph.offset) % g
-        src = np.empty(self.p, dtype=np.int64)
-        src[groups] = groups[:, pos]
-        return _route(req.data, src)
+        return _route(req.data, ph.src)
 
     def finish(self) -> list[Any]:
         if not self.done:
@@ -606,6 +638,7 @@ class BatchSchedule:
                 src_phase = ph.source
                 assert src_phase is not None and src_phase.arrival is not None
                 arrival = src_phase.arrival[ph.src]
+                src_phase.arrival = None  # each send is matched exactly once
                 waited, advanced = recv_wait_times(clock, arrival)
                 arr.recv_wait_time += waited
                 clock[:] = advanced
@@ -638,7 +671,18 @@ class BatchSchedule:
                 gap = t - clock
                 arr.barrier_wait_time += np.where(gap > 0.0, gap, 0.0)
                 clock[:] = t
-            else:  # SymCollective
+            elif ph.kind == "shift":
+                # the same elementwise expressions as the macro executor's
+                # shift, over absolute ranks: send, then receive from src
+                busy, arrival = message_times(machine, clock, ph.nwords, ph.hops)
+                clock += busy
+                arr.send_time += busy
+                arr.messages_sent += 1
+                arr.words_sent += ph.nwords
+                waited, advanced = recv_wait_times(clock, arrival[ph.src])
+                arr.recv_wait_time += waited
+                clock[:] = advanced
+            else:
                 run_batch_collective(ph, arr, topology, machine)
 
 
@@ -665,11 +709,17 @@ def _lower(
                 f"probe traces diverge: rank {traces[0][0]} ran {nops} ops, "
                 f"rank {r} ran {len(ops)}"
             )
-    hop_cache = PairHopCache.shared(topology)
-    everyone = np.arange(p, dtype=np.int64)
-    identity = everyone
+    routes = _Routes(axes, topology, p)
+    identity = routes.everyone
     phases: list[SymPhase] = []
     channels: dict[tuple[int, str, str, int], deque[SymSend]] = {}
+    # group tuple -> the (axis, row) pairs having it as a row, in sorted
+    # axis order: a collective lowers onto the first axis that explains
+    # every probe's group
+    rows_of: dict[tuple[int, ...], list[tuple[str, int]]] = {}
+    for name in sorted(axes):
+        for i, grp in enumerate(axes[name].mat.tolist()):
+            rows_of.setdefault(tuple(grp), []).append((name, i))
 
     def lower_send(step: int, fields: list[tuple], part: str = "") -> SymSend:
         """fields: per-probe (dst, nwords, tag) triples for one message."""
@@ -677,9 +727,12 @@ def _lower(
         tag = _check_uniform([f[2] for f in fields], step, f"send{part} tag")
         peers = [(r, f[0]) for (r, _), f in zip(traces, fields)]
         axis, law, d = _infer_law(axes, peers, f"Send{part}(tag={tag})")
-        dst = _peer_vector(axes[axis], law, d)
-        hops = hop_cache.bulk(everyone, dst)
-        ph = SymSend(dst=dst, hops=hops, nwords=int(nwords), tag=int(tag))
+        ph = SymSend(
+            dst=routes.peers(axis, law, d),
+            hops=routes.hops(axis, law, d),
+            nwords=int(nwords),
+            tag=int(tag),
+        )
         channels.setdefault((int(tag), axis, law, d), deque()).append(ph)
         return ph
 
@@ -710,7 +763,7 @@ def _lower(
                     f"compiled Send on axis {axis!r}"
                 )
             src_phase = queue.popleft()
-            src = _peer_vector(axes[axis], law, e)
+            src = routes.peers(axis, law, e)
             # the matched send must route exactly back: dst[src[r]] == r
             if not np.array_equal(src_phase.dst[src], identity):
                 raise CompileFallback(
@@ -730,31 +783,39 @@ def _lower(
                     "collective shape",
                 )
             )
-            axis_name = None
-            for name in sorted(axes):
-                ax = axes[name]
-                if all(
-                    tuple(ax.mat[ax.row[r]]) == op[2]
-                    for (r, _), op in zip(traces, row)
-                ):
-                    axis_name = name
-                    break
-            if axis_name is None:
+            # axes on which every probe's group is its own row
+            candidates: list[str] | None = None
+            for (r, _), op in zip(traces, row):
+                names = [
+                    name for name, i in rows_of.get(op[2], ())
+                    if axes[name].row[r] == i
+                ]
+                candidates = names if candidates is None else [
+                    name for name in candidates if name in names
+                ]
+            if not candidates:
                 raise CompileFallback(
                     f"step {step}: collective {ckind!r} group is not a "
                     f"symmetry-axis row"
                 )
-            phases.append(
-                SymCollective(
-                    kind=ckind,
-                    groups=axes[axis_name].mat,
-                    nwords=int(m),
-                    payload_words=int(w),
-                    offset=int(offset),
-                    charge_adds=bool(charge_adds),
-                    flat_size=int(flat_size),
-                )
+            axis_name = candidates[0]
+            ph = SymCollective(
+                kind=ckind,
+                groups=axes[axis_name].mat,
+                nwords=int(m),
+                payload_words=int(w),
+                offset=int(offset),
+                charge_adds=bool(charge_adds),
+                flat_size=int(flat_size),
             )
+            if ckind == "shift":
+                # rank r sends to group position (pos + offset) % g and
+                # receives from (pos - offset) % g
+                g = axes[axis_name].g
+                ph.dst = routes.peers(axis_name, "cyc", ph.offset)
+                ph.hops = routes.hops(axis_name, "cyc", ph.offset)
+                ph.src = routes.peers(axis_name, "cyc", (g - ph.offset) % g)
+            phases.append(ph)
     return phases
 
 

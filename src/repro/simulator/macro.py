@@ -333,9 +333,11 @@ def run_collective(
 # Only payload-structure-independent kinds are supported: ``bcast`` and
 # ``reduce`` move and merge real payload objects, which a replay without
 # live generators cannot produce, so the compiler falls back to ``heap``
-# for programs that post them.
+# for programs that post them.  ``shift`` needs no executor here: it is
+# one fixed permutation of the machine, which the compiler routes once
+# and charges directly on the full rank arrays.
 
-BATCH_KINDS = ("shift", "allgather_rd", "allgather_ring", "reduce_scatter")
+BATCH_KINDS = ("allgather_rd", "allgather_ring", "reduce_scatter")
 
 
 class _BatchCharger:
@@ -388,14 +390,6 @@ class _BatchCharger:
         arr.recv_wait_time[self.mat] = self.recv_w
         arr.messages_sent[self.mat] = self.msgs
         arr.words_sent[self.mat] = self.words
-
-
-def _batch_shift(bc: _BatchCharger, g: int, m: int, offset: int) -> None:
-    idx = np.arange(g)
-    dst = (idx + offset) % g
-    src = (idx - offset) % g
-    arrival = bc.send(dst, m)
-    bc.recv(arrival[:, src])
 
 
 def _batch_allgather_rd(bc: _BatchCharger, g: int, m: int, w: int) -> None:
@@ -452,9 +446,7 @@ def run_batch_collective(
     mat = phase.groups
     g = int(mat.shape[1])
     bc = _BatchCharger(arr, topology, machine, mat)
-    if kind == "shift":
-        _batch_shift(bc, g, phase.nwords, phase.offset)
-    elif kind == "allgather_rd":
+    if kind == "allgather_rd":
         _batch_allgather_rd(bc, g, phase.nwords, phase.payload_words)
     elif kind == "allgather_ring":
         _batch_allgather_ring(bc, g, phase.nwords)

@@ -254,6 +254,13 @@ class SymCollective:
     every group executes the same collective at this phase.  The batch
     executors in :mod:`repro.simulator.macro` charge all ``G`` groups at
     once.
+
+    A ``shift`` is one fixed permutation of the whole machine, so it
+    carries its absolute-rank routing instead: every rank sends to
+    ``dst[rank]`` over ``hops[rank]`` links and receives from
+    ``src[rank]``.  The compiler shares these vectors between every
+    shift phase with the same axis and offset; replay charges the phase
+    directly on the full rank arrays.
     """
 
     kind: str
@@ -263,6 +270,9 @@ class SymCollective:
     offset: int = 0
     charge_adds: bool = True
     flat_size: int = 0
+    dst: np.ndarray | None = None
+    src: np.ndarray | None = None
+    hops: np.ndarray | None = None
 
 
 SymPhase = SymCompute | SymSend | SymSendAll | SymRecv | SymBarrier | SymCollective

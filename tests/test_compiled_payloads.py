@@ -15,14 +15,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.algorithms.cannon as cannon_mod
 import repro.simulator.collectives as coll
+import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
 from repro.algorithms.cannon import run_cannon
 from repro.core.machine import CM5, MachineParams, NCUBE2_LIKE
 from repro.experiments.figures45 import _FIG4_SIZES, _FIG5_SIZES
 from repro.simulator.compile import SymmetrySpec
 from repro.simulator.engine import Engine, RankInfo
-from repro.simulator.request import Barrier, Checkpoint, Compute, Recv, Send
+from repro.simulator.request import (
+    Barrier,
+    Checkpoint,
+    Compute,
+    Recv,
+    Send,
+    SymCollective,
+    SymRecv,
+    SymSend,
+)
 from repro.simulator.topology import FullyConnected, Hypercube
 
 from test_compiled_scheduler import DRIVER_CASES, assert_same_returns
@@ -273,3 +284,87 @@ def test_non_shift_macro_collective_payloads_fall_back(monkeypatch):
     assert res.compiled is False
     assert "only shift payloads" in res.compile_fallback
     assert all(np.array_equal(got, blocks[0]) for _, got in res.returns)
+
+
+# ---------------------------------------------------------------------------
+# cost shape: O(phases) vector work, O(probe ranks) Python
+# ---------------------------------------------------------------------------
+
+
+def _capture_schedules(monkeypatch):
+    """Record every BatchSchedule the engine compiles."""
+    schedules = []
+    real = engine_mod.compile_spmd
+
+    def capturing(*args, **kwargs):
+        schedules.append(real(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(engine_mod, "compile_spmd", capturing)
+    return schedules
+
+
+def test_compiled_cannon_builds_programs_only_for_probes(monkeypatch):
+    """The driver hands the engine one factory: a timing-only compiled run
+    at p = 16384 binds the rank body for the probe ranks alone."""
+    calls = []
+    real = cannon_mod.cannon_program
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cannon_mod, "cannon_program", counting)
+    schedules = _capture_schedules(monkeypatch)
+    p = 16384
+    A, B = _operands(128)
+    res = run_cannon(A, B, p, scheduler="compiled", product=False)
+    assert res.sim.compiled, res.sim.compile_fallback
+    (schedule,) = schedules
+    assert any(isinstance(ph, SymCollective) for ph in schedule.phases)
+    assert len(calls) <= len(schedule.probe_ranks) + 1
+
+
+def test_message_level_schedule_shares_routing_and_frees_arrivals(monkeypatch):
+    """Without macro shifts every roll is a Send/Recv pair; the schedule
+    holds one read-only dst vector per roll direction, and replay drops
+    each arrival vector once its receive has read it."""
+    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 10**9)
+    schedules = _capture_schedules(monkeypatch)
+    p = 1024
+    A, B = _operands(64)
+    res_c = run_cannon(A, B, p, scheduler="compiled", product=False)
+    res_h = run_cannon(A, B, p, scheduler="heap", product=False)
+    assert res_c.sim.compiled, res_c.sim.compile_fallback
+    (schedule,) = schedules
+    sends = [ph for ph in schedule.phases if isinstance(ph, SymSend)]
+    recvs = [ph for ph in schedule.phases if isinstance(ph, SymRecv)]
+    assert len(sends) == len(recvs) == 2 * (32 - 1)
+    assert len({id(ph.dst) for ph in sends}) == 2
+    assert len({id(ph.hops) for ph in sends}) == 2
+    assert len({id(ph.src) for ph in recvs}) == 2
+    assert not any(ph.dst.flags.writeable or ph.hops.flags.writeable for ph in sends)
+    assert all(ph.arrival is None for ph in sends)
+    assert res_c.parallel_time == res_h.parallel_time
+    for s_c, s_h in zip(res_c.sim.stats, res_h.sim.stats):
+        assert s_c == s_h
+
+
+def test_macro_shift_phases_share_precomputed_routing(monkeypatch):
+    """Every serial roll lowers to a shift phase; phases rolling the same
+    axis share one dst, src and hops vector, and src inverts dst."""
+    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    schedules = _capture_schedules(monkeypatch)
+    p = 1024
+    A, B = _operands(64)
+    res = run_cannon(A, B, p, scheduler="compiled", product=False)
+    assert res.sim.compiled, res.sim.compile_fallback
+    (schedule,) = schedules
+    shifts = [ph for ph in schedule.phases if isinstance(ph, SymCollective)]
+    assert len(shifts) == 2 * (32 - 1)
+    assert all(ph.kind == "shift" for ph in shifts)
+    for field in ("dst", "src", "hops"):
+        assert len({id(getattr(ph, field)) for ph in shifts}) == 2
+    for ph in shifts:
+        assert np.array_equal(ph.dst[ph.src], np.arange(p))
+        assert not ph.src.flags.writeable

@@ -149,13 +149,18 @@ def test_compiled_engagement_matches_registry_annotation(key, n, p, product, mon
     assert (res.C is not None) == product
 
 
-def test_cannon_p1024_compiled_bit_identical(monkeypatch):
-    """A mid-scale point on the real 64k path (macro collectives active)."""
+@pytest.mark.parametrize("overlap", [False, True], ids=["serial-shifts", "overlap-shifts"])
+@pytest.mark.parametrize("p", [64, 1024])
+def test_cannon_macro_shifts_compiled_bit_identical(p, overlap, monkeypatch):
+    """Mid-scale points on the real 64k path (macro collectives active):
+    serial rolls replay as shift phases charged on precomputed routing,
+    overlapped rolls as SendAll phases."""
     monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
-    res_c = _run_driver("cannon", 32, 1024, "compiled")
-    res_h = _run_driver("cannon", 32, 1024, "heap")
-    assert res_c.sim.compiled
-    _assert_identical(res_c.sim, res_h.sim, 1024)
+    res_c = _run_driver("cannon", 32, p, "compiled", overlap_shifts=overlap)
+    res_h = _run_driver("cannon", 32, p, "heap", overlap_shifts=overlap)
+    assert res_c.sim.compiled, res_c.sim.compile_fallback
+    _assert_identical(res_c.sim, res_h.sim, p)
+    assert np.array_equal(res_c.C, res_h.C)
 
 
 @pytest.mark.parametrize("all_port", [False, True], ids=["one-port", "all-port"])

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine semantics."""
 
+import numpy as np
 import pytest
 
 from repro.core.machine import MachineParams
@@ -7,6 +8,7 @@ from repro.simulator.engine import Engine, run_spmd
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
+from repro.simulator.trace import RankArrays, RankStats
 
 
 def run2(machine, prog0, prog1, topo=None, **kw):
@@ -332,3 +334,44 @@ class TestMetricsOnResult:
         assert res.speedup(work) == 4.0
         assert res.efficiency(work) == 1.0
         assert res.total_overhead(work) == 0.0
+
+
+class TestRankArraysSnapshot:
+    def test_columns_convert_exactly_like_per_element(self):
+        arr = RankArrays(5)
+        arr.clock[:] = [0.0, -0.0, np.inf, 1e308, 5e-324]
+        arr.compute_time[:] = [-0.0, 0.1, np.inf, -np.inf, 3.0]
+        arr.send_time[:] = [np.inf, -0.0, 2.5, 1 / 3, 0.0]
+        arr.recv_wait_time[:] = [1e-300, -0.0, 0.0, np.inf, 7.0]
+        arr.barrier_wait_time[:] = [-0.0, -0.0, np.inf, 2.0**60, 1.0]
+        big = np.iinfo(np.int64).max
+        arr.messages_sent[:] = [0, big, -big - 1, 2**53 + 1, 7]
+        arr.words_sent[:] = [big, 2**62 + 3, 0, -1, 2**53 + 1]
+
+        expected = [
+            RankStats(
+                rank=r,
+                compute_time=float(arr.compute_time[r]),
+                send_time=float(arr.send_time[r]),
+                recv_wait_time=float(arr.recv_wait_time[r]),
+                barrier_wait_time=float(arr.barrier_wait_time[r]),
+                messages_sent=int(arr.messages_sent[r]),
+                words_sent=int(arr.words_sent[r]),
+                finish_time=float(arr.clock[r]),
+            )
+            for r in range(arr.nprocs)
+        ]
+
+        def exact(stats):
+            # type and bit pattern of every field (-0.0 != 0.0 here)
+            return [
+                tuple(
+                    (type(v), v.hex() if isinstance(v, float) else v)
+                    for v in vars(s).values()
+                )
+                for s in stats
+            ]
+
+        got = arr.snapshot()
+        assert got == expected
+        assert exact(got) == exact(expected)

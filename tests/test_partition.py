@@ -184,6 +184,36 @@ class TestScatterGather:
         blocks[0][0][0, 0] = 1e9
         assert m[0, 0] != 1e9
 
+    @pytest.mark.parametrize(
+        "shape,grid,order",
+        [
+            ((8, 8), (2, 2), "C"),
+            ((12, 6), (3, 2), "C"),
+            ((6, 6), (1, 1), "C"),
+            ((16, 16), (16, 16), "C"),
+            ((8, 12), (4, 3), "F"),
+            # ragged: the per-block slicing path
+            ((11, 7), (3, 4), "C"),
+            ((10, 12), (3, 4), "F"),
+        ],
+    )
+    def test_scatter_blocks_are_independent_contiguous_copies(self, rng, shape, grid, order):
+        m = np.asarray(rng.standard_normal(shape), order=order)
+        original = m.copy()
+        spec = BlockSpec(*shape, *grid)
+        blocks = spec.scatter(m)
+        for i in range(spec.grows):
+            for j in range(spec.gcols):
+                blk = blocks[i][j]
+                assert np.array_equal(blk, m[spec.block_slice(i, j)])
+                assert blk.flags.c_contiguous
+        blocks[0][0][...] = -1.0
+        assert np.array_equal(m, original)
+        for i in range(spec.grows):
+            for j in range(spec.gcols):
+                if (i, j) != (0, 0):
+                    assert np.array_equal(blocks[i][j], m[spec.block_slice(i, j)])
+
     @settings(max_examples=30)
     @given(
         st.integers(min_value=1, max_value=24),
