@@ -39,6 +39,8 @@ implementation it replaced:
   program at ``p = 1024`` is timed under the macro path, the
   message-level ready path, and the rescan reference (the message-level
   reference configuration every other speedup here is judged against);
+  Figure 5's GK point (CM-5, p = 512, n = 176) is recorded in absolute
+  seconds with macro collectives on and off (info only, no gate); and
   the Figure 4/5 regeneration pipeline is timed in the default fast
   configuration vs that same reference.
 
@@ -564,6 +566,20 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
     msg_ready_s = _time(lambda: _with_config("ready", False, run_bcast), repeats)
     reference_s = _time(lambda: _with_config("rescan", False, run_bcast), repeats)
 
+    # Figure 5's GK point (CM-5, p = 512, n = 176) in absolute seconds:
+    # its 64 concurrent r = 8 groups per stage are charged as one deferred
+    # batch on the default path; info only, no gate
+    from repro.algorithms.gk import run_gk_cm5
+
+    rng = np.random.default_rng(176)
+    gk_a, gk_b = rng.standard_normal((176, 176)), rng.standard_normal((176, 176))
+
+    def run_gk_fig5():
+        run_gk_cm5(gk_a, gk_b, 512)
+
+    gk_macro_s = _time(lambda: _with_config("ready", True, run_gk_fig5), repeats)
+    gk_msg_s = _time(lambda: _with_config("ready", False, run_gk_fig5), repeats)
+
     fig4_sizes = (16, 48) if fast else (16, 48, 96, 144)
     fig5_sizes = (66, 132) if fast else (66, 132, 264, 352)
 
@@ -589,6 +605,12 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
             "reference_s": reference_s,
             "speedup_vs_reference": reference_s / macro_s,
             "speedup_vs_msg_ready": msg_ready_s / macro_s,
+        },
+        "gk_fig5_point": {
+            "n": 176,
+            "p": 512,
+            "macro_s": gk_macro_s,
+            "message_level_s": gk_msg_s,
         },
         "fig45_pipeline": {
             "fig4_sizes": list(fig4_sizes),
@@ -857,6 +879,9 @@ def main(argv=None) -> int:
           f"{bc['speedup_vs_msg_ready']:.2f}x vs msg-ready)  "
           f"fig45 {f45['fast_s']:.3f}s vs {f45['reference_s']:.3f}s "
           f"({f45['speedup_vs_reference']:.2f}x)")
+    gk = report["collectives"]["gk_fig5_point"]
+    print(f"collectives: gk fig5 point p={gk['p']} n={gk['n']} "
+          f"macro {gk['macro_s']*1e3:.1f}ms  message-level {gk['message_level_s']*1e3:.1f}ms")
     for res, r in report["refinement"]["resolutions"].items():
         print(f"refinement: {res}x{res} dense {r['dense_s']*1e3:.1f}ms  "
               f"refined {r['refined_s']*1e3:.1f}ms  speedup {r['speedup']:.1f}x  "

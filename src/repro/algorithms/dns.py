@@ -23,8 +23,6 @@ in using ``(n/p^{1/3})^2``-element blocks on a ``p^{1/3}`` cube.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.algorithms.base import (
@@ -63,16 +61,52 @@ T_ADD = 0.5
 _TAG_ROUTE_A, _TAG_BCAST_A, _TAG_ROUTE_B, _TAG_BCAST_B, _TAG_REDUCE = 10, 20, 30, 40, 50
 
 
+def _charge_adds(x: np.ndarray) -> float:
+    """Stage-3 merge cost: one add per element of the received block."""
+    return T_ADD * x.size
+
+
+def _cube_route(info: RankInfo, src: int, dst: int, data, nwords: int, tag: int, route_mode: str):
+    """Move *data* from rank *src* to rank *dst*; returns it at *dst*, else ``None``."""
+    if src == dst:
+        return data if info.rank == src else None
+    if route_mode == "relay":
+        got = yield from cube_route(info, src, dst, data, nwords=nwords, tag=tag)
+        return got if info.rank == dst else None
+    if info.rank == src:
+        yield Send(dst=dst, data=data, nwords=nwords, tag=tag)
+        return None
+    if info.rank == dst:
+        got = yield Recv(src=src, tag=tag)
+        return got
+    return None
+
+
+def _cube_bcast(info: RankInfo, broadcast: str, group: list[int], root_idx: int, payload, tag: int):
+    if broadcast == "binomial":
+        out = yield from bcast_binomial(info, group, root_idx, payload, tag=tag)
+    elif broadcast == "scatter-allgather":
+        from repro.simulator.jho import bcast_scatter_allgather
+
+        out = yield from bcast_scatter_allgather(info, group, root_idx, payload, tag=tag)
+    else:
+        from repro.simulator.jho import bcast_pipelined_binomial
+
+        out = yield from bcast_pipelined_binomial(info, group, root_idx, payload, tag=tag)
+    return out
+
+
 def make_cube_program(
     i: int,
     j: int,
     k: int,
-    r: int,
-    rank_of: Callable[[int, int, int], int],
     a0: np.ndarray | None,
     b0: np.ndarray | None,
     a_words: int,
     b_words: int,
+    group_l: list[int],
+    group_m: list[int],
+    group_i: list[int],
     route_mode: str,
     broadcast: str = "binomial",
 ):
@@ -80,7 +114,11 @@ def make_cube_program(
 
     ``a0``/``b0`` are the initial blocks (present only on plane
     ``i == 0``); ``a_words``/``b_words`` their sizes (known to every rank
-    of the route group).  ``route_mode`` is ``"relay"`` (one message per
+    of the route group).  The three groups are the ranks of the cube
+    lines through ``(i, j, k)``: ``group_l[l] = (i, j, l)``,
+    ``group_m[l] = (i, l, k)`` and ``group_i[t] = (t, j, k)``; drivers
+    share one list object between all members of a line.
+    ``route_mode`` is ``"relay"`` (one message per
     hypercube dimension, the paper's ``log r``-step routing) or
     ``"direct"`` (a single message — the CM-5 form behind Eq. 18).
     ``broadcast`` selects the stage-1 one-to-all scheme: ``"binomial"``
@@ -94,57 +132,25 @@ def make_cube_program(
     if broadcast not in ("binomial", "scatter-allgather", "pipelined"):
         raise ValueError(f"unknown broadcast scheme {broadcast!r}")
 
-    def bcast(info, grp, root_idx, payload, tag):
-        if broadcast == "binomial":
-            out = yield from bcast_binomial(info, grp, root_idx, payload, tag=tag)
-        elif broadcast == "scatter-allgather":
-            from repro.simulator.jho import bcast_scatter_allgather
-
-            out = yield from bcast_scatter_allgather(info, grp, root_idx, payload, tag=tag)
-        else:
-            from repro.simulator.jho import bcast_pipelined_binomial
-
-            out = yield from bcast_pipelined_binomial(info, grp, root_idx, payload, tag=tag)
-        return out
-
-    def route(info: RankInfo, src3, dst3, data, nwords, tag):
-        src, dst = rank_of(*src3), rank_of(*dst3)
-        if src == dst:
-            return data if info.rank == src else None
-        if route_mode == "relay":
-            got = yield from cube_route(info, src, dst, data, nwords=nwords, tag=tag)
-            return got if info.rank == dst else None
-        if info.rank == src:
-            yield Send(dst=dst, data=data, nwords=nwords, tag=tag)
-            return None
-        if info.rank == dst:
-            got = yield Recv(src=src, tag=tag)
-            return got
-        return None
-
     def body(info: RankInfo):
         # Stage 1, matrix A: (0,j,k) -> (k,j,k), then broadcast along the third axis.
-        a_routed = yield from route(info, (0, j, k), (k, j, k), a0, a_words, _TAG_ROUTE_A)
-        group_l = [rank_of(i, j, l) for l in range(r)]
+        a_routed = yield from _cube_route(
+            info, group_i[0], group_i[k], a0, a_words, _TAG_ROUTE_A, route_mode
+        )
         # the broadcast block is A[j,i], not A[j,k]; under uneven partitions
         # their sizes differ, so the collectives size the payload themselves
-        a = yield from bcast(info, group_l, i, a_routed, _TAG_BCAST_A)
+        a = yield from _cube_bcast(info, broadcast, group_l, i, a_routed, _TAG_BCAST_A)
         # Stage 1, matrix B: (0,j,k) -> (j,j,k), then broadcast along the second axis.
-        b_routed = yield from route(info, (0, j, k), (j, j, k), b0, b_words, _TAG_ROUTE_B)
-        group_m = [rank_of(i, l, k) for l in range(r)]
-        b = yield from bcast(info, group_m, i, b_routed, _TAG_BCAST_B)
+        b_routed = yield from _cube_route(
+            info, group_i[0], group_i[j], b0, b_words, _TAG_ROUTE_B, route_mode
+        )
+        b = yield from _cube_bcast(info, broadcast, group_m, i, b_routed, _TAG_BCAST_B)
         # Stage 2: local block product.  This rank now holds A[j,i] and B[i,k].
         yield Compute(matmul_cost(a.shape[0], a.shape[1], b.shape[1]), label="gemm")
         c = a @ b
         # Stage 3: sum partial products along the i axis into plane i == 0.
-        group_i = [rank_of(t, j, k) for t in range(r)]
         total = yield from reduce_binomial(
-            info,
-            group_i,
-            0,
-            c,
-            tag=_TAG_REDUCE,
-            charge_op=lambda x: T_ADD * x.size,
+            info, group_i, 0, c, tag=_TAG_REDUCE, charge_op=_charge_adds
         )
         if total is None:
             return None
@@ -153,9 +159,24 @@ def make_cube_program(
     return body
 
 
-def _cube_rank_of(r: int) -> Callable[[int, int, int], int]:
+def _cube_ranks(r: int) -> np.ndarray:
+    """``ranks[i, j, k]``: the hypercube rank of cube position ``(i, j, k)``."""
     bits = max(r - 1, 0).bit_length()
-    return lambda i, j, k: (((i << bits) | j) << bits) | k
+    i, j, k = np.indices((r, r, r), dtype=np.int64)
+    return (((i << bits) | j) << bits) | k
+
+
+def _lines(ranks: np.ndarray, axis: int) -> list:
+    """Nested lists of *ranks* with *axis* moved last: each innermost list
+    is one line of the grid, shared by every member it names."""
+    return np.moveaxis(ranks, axis, -1).tolist()
+
+
+def _positions(ranks: np.ndarray) -> list[list[int]]:
+    """``pos[rank]``: the grid coordinates of each rank."""
+    pos = np.empty((ranks.size, ranks.ndim), dtype=np.int64)
+    pos[ranks.ravel()] = np.indices(ranks.shape).reshape(ranks.ndim, -1).T
+    return pos.tolist()
 
 
 def _run_cube(
@@ -182,31 +203,35 @@ def _run_cube(
         raise ValueError("cube side must be a power of two on a hypercube")
     if route_mode is None:
         route_mode = "relay" if isinstance(topo, Hypercube) else "direct"
-    rank_of = _cube_rank_of(r)
 
     spec = BlockSpec(n, n, r, r)
     a_blocks = spec.scatter(A)
     b_blocks = spec.scatter(B)
+    heights = [hi - lo for lo, hi in map(spec.row_bounds, range(r))]
+    widths = [hi - lo for lo, hi in map(spec.col_bounds, range(r))]
 
-    factories: list = [None] * p
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                a0 = a_blocks[j][k] if i == 0 else None
-                b0 = b_blocks[j][k] if i == 0 else None
-                factories[rank_of(i, j, k)] = make_cube_program(
-                    i,
-                    j,
-                    k,
-                    r,
-                    rank_of,
-                    a0,
-                    b0,
-                    a_words=int(np.prod(spec.block_shape(j, k))),
-                    b_words=int(np.prod(spec.block_shape(j, k))),
-                    route_mode=route_mode,
-                    broadcast=broadcast,
-                )
+    ranks = _cube_ranks(r)
+    lines_l, lines_m, lines_i = _lines(ranks, 2), _lines(ranks, 1), _lines(ranks, 0)
+    ijk = _positions(ranks)
+
+    def program(info: RankInfo):
+        # one factory for every rank: set-up happens as each rank starts
+        i, j, k = ijk[info.rank]
+        words = heights[j] * widths[k]
+        return make_cube_program(
+            i,
+            j,
+            k,
+            a_blocks[j][k] if i == 0 else None,
+            b_blocks[j][k] if i == 0 else None,
+            a_words=words,
+            b_words=words,
+            group_l=lines_l[i][j],
+            group_m=lines_m[i][k],
+            group_i=lines_i[j][k],
+            route_mode=route_mode,
+            broadcast=broadcast,
+        )(info)
 
     # cube_route is position-dependent (relay ranks recv+send, bystanders
     # idle), so DNS/GK programs are not rank-symmetric: no SymmetrySpec,
@@ -214,7 +239,7 @@ def _run_cube(
     sim = Engine(
         topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
         symmetry=None,
-    ).run(factories)
+    ).run(program)
 
     C = None
     if product:
@@ -252,18 +277,21 @@ def run_dns_one_per_element(
     )
 
 
-def _dns_block_rank_of(r: int, s: int) -> Callable[[int, int, int, int, int], int]:
+def _dns_block_ranks(r: int, s: int) -> np.ndarray:
+    """``ranks[i, j, k, li, lj]``: the hypercube rank of element ``(li, lj)``
+    of superprocessor ``(i, j, k)`` (Gray-coded inside the superprocessor)."""
     lbits = max(s - 1, 0).bit_length()
-    cube_bits = 3 * max(r - 1, 0).bit_length()
-    del cube_bits
-    rbits = max(r - 1, 0).bit_length()
+    gray = np.array([gray_code(x) for x in range(s)], dtype=np.int64)
+    i, j, k, li, lj = np.indices((r, r, r, s, s), dtype=np.int64)
+    return (_cube_ranks(r)[i, j, k] << (2 * lbits)) | (gray[li] << lbits) | gray[lj]
 
-    def rank_of(i: int, j: int, k: int, li: int, lj: int) -> int:
-        cube = (((i << rbits) | j) << rbits) | k
-        local = (gray_code(li) << lbits) | gray_code(lj)
-        return (cube << (2 * lbits)) | local
 
-    return rank_of
+def _scalar_add(x, y):
+    return x + y
+
+
+def _one_add(_x) -> float:
+    return T_ADD
 
 
 def _dns_block_program(
@@ -272,48 +300,40 @@ def _dns_block_program(
     k: int,
     li: int,
     lj: int,
-    r: int,
-    s: int,
-    rank_of: Callable[..., int],
     a0: float | None,
     b0: float | None,
+    group_l: list[int],
+    group_m: list[int],
+    group_i: list[int],
+    row_group: list[int],
+    col_group: list[int],
     route_mode: str,
 ):
     """SPMD body of the §4.5.2 block-DNS variant for one hypercube processor.
 
-    The processor is element ``(li, lj)`` of superprocessor ``(i, j, k)``.
-    Stage 1 moves single elements along the superprocessor axes; stage 2
-    is one-element-per-processor Cannon inside the superprocessor (the
-    host pre-skews the operands, mirroring ``run_cannon(align="pre")``);
-    stage 3 reduces scalars along the superprocessor *i* axis.
+    The processor is element ``(li, lj)`` of superprocessor ``(i, j, k)``;
+    its groups are the lines through it along the superprocessor axes
+    (``group_l``, ``group_m``, ``group_i``, as in
+    :func:`make_cube_program`) and inside its superprocessor
+    (``row_group``, ``col_group``).  Stage 1 moves single elements along
+    the superprocessor axes; stage 2 is one-element-per-processor Cannon
+    inside the superprocessor (the host pre-skews the operands, mirroring
+    ``run_cannon(align="pre")``); stage 3 reduces scalars along the
+    superprocessor *i* axis.
     """
-
-    def route(info: RankInfo, dst_i: int, data, tag):
-        src, dst = rank_of(0, j, k, li, lj), rank_of(dst_i, j, k, li, lj)
-        if src == dst:
-            return data if info.rank == src else None
-        if route_mode == "relay":
-            got = yield from cube_route(info, src, dst, data, nwords=1, tag=tag)
-            return got if info.rank == dst else None
-        if info.rank == src:
-            yield Send(dst=dst, data=data, nwords=1, tag=tag)
-            return None
-        if info.rank == dst:
-            got = yield Recv(src=src, tag=tag)
-            return got
-        return None
+    s = len(row_group)
 
     def body(info: RankInfo):
-        a_routed = yield from route(info, k, a0, _TAG_ROUTE_A)
-        group_l = [rank_of(i, j, l, li, lj) for l in range(r)]
+        a_routed = yield from _cube_route(
+            info, group_i[0], group_i[k], a0, 1, _TAG_ROUTE_A, route_mode
+        )
         a = yield from bcast_binomial(info, group_l, i, a_routed, nwords=1, tag=_TAG_BCAST_A)
-        b_routed = yield from route(info, j, b0, _TAG_ROUTE_B)
-        group_m = [rank_of(i, l, k, li, lj) for l in range(r)]
+        b_routed = yield from _cube_route(
+            info, group_i[0], group_i[j], b0, 1, _TAG_ROUTE_B, route_mode
+        )
         b = yield from bcast_binomial(info, group_m, i, b_routed, nwords=1, tag=_TAG_BCAST_B)
 
         # Stage 2: one-element Cannon on the (n/r) x (n/r) superprocessor grid.
-        row_group = [rank_of(i, j, k, li, c) for c in range(s)]
-        col_group = [rank_of(i, j, k, rr, lj) for rr in range(s)]
         c = a * 0  # zero of the operands' scalar type (works for complex too)
         for t in range(s):
             yield Compute(1.0, label="fma")
@@ -322,16 +342,15 @@ def _dns_block_program(
                 a = yield from shift_cyclic(info, row_group, -1, a, nwords=1, tag=_TAG_ROLL_A)
                 b = yield from shift_cyclic(info, col_group, -1, b, nwords=1, tag=_TAG_ROLL_B)
 
-        group_i = [rank_of(t, j, k, li, lj) for t in range(r)]
         total = yield from reduce_binomial(
             info,
             group_i,
             0,
             c,
-            op=lambda x, y: x + y,
+            op=_scalar_add,
             nwords=1,
             tag=_TAG_REDUCE,
-            charge_op=lambda _x: T_ADD,
+            charge_op=_one_add,
         )
         if total is None:
             return None
@@ -372,7 +391,6 @@ def run_dns_block(
     if topo.size != p:
         raise ValueError(f"topology size {topo.size} != n^2*r = {p}")
     route_mode = "relay" if isinstance(topo, Hypercube) else "direct"
-    rank_of = _dns_block_rank_of(r, s)
 
     spec = BlockSpec(n, n, r, r)
 
@@ -386,23 +404,34 @@ def run_dns_block(
     a_skewed = [[blk[rows, skew] for blk in row] for row in a_blocks]
     b_skewed = [[blk[skew, cols] for blk in row] for row in b_blocks]
 
-    factories: list = [None] * p
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for li in range(s):
-                    for lj in range(s):
-                        a0 = a_skewed[j][k][li, lj].item() if i == 0 else None
-                        b0 = b_skewed[j][k][li, lj].item() if i == 0 else None
-                        factories[rank_of(i, j, k, li, lj)] = _dns_block_program(
-                            i, j, k, li, lj, r, s, rank_of, a0, b0, route_mode
-                        )
+    ranks = _dns_block_ranks(r, s)
+    lines_l, lines_m, lines_i = _lines(ranks, 2), _lines(ranks, 1), _lines(ranks, 0)
+    lines_row, lines_col = _lines(ranks, 4), _lines(ranks, 3)
+    coords = _positions(ranks)
+
+    def program(info: RankInfo):
+        i, j, k, li, lj = coords[info.rank]
+        return _dns_block_program(
+            i,
+            j,
+            k,
+            li,
+            lj,
+            a_skewed[j][k][li, lj].item() if i == 0 else None,
+            b_skewed[j][k][li, lj].item() if i == 0 else None,
+            group_l=lines_l[i][j][li][lj],
+            group_m=lines_m[i][k][li][lj],
+            group_i=lines_i[j][k][li][lj],
+            row_group=lines_row[i][j][k][li],
+            col_group=lines_col[i][j][k][lj],
+            route_mode=route_mode,
+        )(info)
 
     # not rank-symmetric (cube_route relays) — see _run_cube
     sim = Engine(
         topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
         symmetry=None,
-    ).run(factories)
+    ).run(program)
 
     C = None
     if product:

@@ -29,27 +29,30 @@ Macro fast path
 ---------------
 
 When the engine advertises ``info.macro_collectives`` (tracing off, link
-contention off, no fault plan, event-driven scheduler), each helper validates its
-arguments and then yields a single
+contention off, no fault plan, event-driven scheduler), each helper
+validates its arguments and then yields a single
 :class:`~repro.simulator.request.CollectiveOp` instead of its message
-sequence; the engine rendezvouses the group and applies one closed-form,
-vectorized clock/stats update (:mod:`repro.simulator.macro`) that is
-bit-identical to the message-level path below — same clocks, same
-per-rank accounts, same message/word totals, same payload aliasing.  The
-message-level implementations remain the reference: the fuzz suite pins
-the two paths against each other.
+sequence, whatever the group size.  The engine rendezvouses the group,
+parks it once complete, and when no rank is left to run charges every
+parked group of one kind and size in one vectorized clock/stats update
+(:mod:`repro.simulator.macro`) that is bit-identical to the
+message-level path below — same clocks, same per-rank accounts, same
+message/word totals, same payload aliasing.  The message-level
+implementations remain the reference, selected with
+``macro_collectives=False``: the fuzz suite pins the two paths against
+each other.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.simulator.engine import RankInfo
 from repro.simulator.errors import ProgramError
-from repro.simulator.request import Barrier, CollectiveOp, Recv, Send, words_of
+from repro.simulator.macro import binomial_rounds
+from repro.simulator.request import Barrier, CollectiveOp, Compute, Recv, Send, words_of
 
 __all__ = [
     "my_index",
@@ -63,15 +66,6 @@ __all__ = [
     "barrier",
     "words_of",
 ]
-
-
-#: Smallest group for which a helper takes the macro fast path.  Below
-#: this, the per-call numpy overhead of the vectorized executors exceeds
-#: the message-level cost (measured crossover is near 64 ranks); above
-#: it the fast path wins and keeps widening.  Both paths are
-#: bit-identical, so this is purely a performance knob — tests pin it to
-#: 2 to force macro coverage of small groups.
-MACRO_GROUP_MIN: int = 64
 
 
 def my_index(info: RankInfo, group: Sequence[int]) -> int:
@@ -105,7 +99,7 @@ def bcast_binomial(
     returned unchanged.  Takes ``ceil(log2 g)`` sequential message steps.
     """
     g = len(group)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if info.macro_collectives:
         result = yield CollectiveOp(
             kind="bcast", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -113,7 +107,7 @@ def bcast_binomial(
         return result
     idx = my_index(info, group)
     rel = (idx - root_index) % g
-    rounds = max(1, math.ceil(math.log2(g))) if g > 1 else 0
+    rounds = binomial_rounds(g)
 
     if rel != 0:
         parent_rel = rel - (1 << (rel.bit_length() - 1))
@@ -144,10 +138,8 @@ def reduce_binomial(
     basic-op units (e.g. ``lambda x: x.size`` for elementwise adds) and
     the cost is charged via a :class:`Compute` request.
     """
-    from repro.simulator.request import Compute  # local to avoid cycle noise
-
     g = len(group)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if info.macro_collectives:
         result = yield CollectiveOp(
             kind="reduce", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, root_index=root_index,
@@ -156,7 +148,7 @@ def reduce_binomial(
         return result
     idx = my_index(info, group)
     rel = (idx - root_index) % g
-    rounds = max(1, math.ceil(math.log2(g))) if g > 1 else 0
+    rounds = binomial_rounds(g)
     m = words_of(data) if nwords is None else nwords
 
     for k in range(rounds):
@@ -191,7 +183,7 @@ def allgather_recursive_doubling(
     g = len(group)
     if g & (g - 1):
         raise ProgramError(f"recursive doubling needs a power-of-two group, got {g}")
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if info.macro_collectives:
         result = yield CollectiveOp(
             kind="allgather_rd", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag,
@@ -224,7 +216,7 @@ def allgather_ring(
 ):
     """All-to-all broadcast over *group* on a logical ring (``g-1`` steps)."""
     g = len(group)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if info.macro_collectives:
         result = yield CollectiveOp(
             kind="allgather_ring", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag,
@@ -265,13 +257,11 @@ def reduce_scatter_halving(
     that gives Berntsen's algorithm its ``tw * n^2 / p^(2/3)`` summation
     term.
     """
-    from repro.simulator.request import Compute
-
     g = len(group)
     if g & (g - 1):
         raise ProgramError(f"recursive halving needs a power-of-two group, got {g}")
     flat = np.ascontiguousarray(data).reshape(-1).astype(np.result_type(data, np.float64), copy=True)
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if info.macro_collectives:
         # the private working copy above is made eagerly, exactly when the
         # reference path would; the executor reduces it in place
         result = yield CollectiveOp(
@@ -326,7 +316,7 @@ def shift_cyclic(
     if offset % g == 0:
         my_index(info, group)  # keep the membership check of the slow path
         return data
-    if info.macro_collectives and g >= MACRO_GROUP_MIN:
+    if info.macro_collectives:
         result = yield CollectiveOp(
             kind="shift", group=group if type(group) is list else list(group),
             data=data, nwords=nwords, tag=tag, offset=offset,

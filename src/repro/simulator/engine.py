@@ -57,6 +57,13 @@ that freedom differently:
   bit-identical clocks, and ``benchmarks/perf_guard.py`` uses it as the
   performance baseline.
 
+``ready`` and ``heap`` share one macro-collective rendezvous: a rank
+that posts a :class:`~repro.simulator.request.CollectiveOp` is parked,
+a completed group stays parked, and when the scheduler runs out of
+runnable ranks every parked group is charged at once — one vectorized
+call per ``(kind, group size)`` over all concurrent groups
+(:mod:`repro.simulator.macro`) — before the barrier and deadlock checks.
+
 Heap ordering contract
 ----------------------
 
@@ -361,10 +368,14 @@ class Engine:
         self._mail: dict[tuple[int, int, int], deque[tuple[float, Any, int]]] = {}
         # (src, dst) -> hop count, filled lazily (repeated pairs dominate)
         self._dist: dict[tuple[int, int], int] = {}
-        # (kind, tag, len(group)) -> pending entries [posts, count, pos, group];
-        # bucketed by cheap signature so posting never hashes a whole group
-        # (list equality short-circuits on the first differing rank)
-        self._pending_collectives: dict[tuple[str, int, int], list[list]] = {}
+        # (kind, tag, len(group), group[0], group[-1]) -> pending entries
+        # [posts, count, pos, group]; keyed on the group's ends so posting
+        # never hashes a whole group, and the rare entries sharing a key
+        # are told apart by full group equality
+        self._pending_collectives: dict[tuple[str, int, int, int, int], list[list]] = {}
+        # (kind, len(group)) -> completed post lists parked until the
+        # scheduler runs dry (see _flush_collectives)
+        self._completed_collectives: dict[tuple[str, int], list[list[CollectiveOp]]] = {}
         self._arr: RankArrays | None = None
 
     # -- public API -----------------------------------------------------------------
@@ -475,6 +486,7 @@ class Engine:
         self._mail.clear()
         self._dist.clear()
         self._pending_collectives.clear()
+        self._completed_collectives.clear()
         self._event_heap = []
         self._event_seq = 0
         self._waiting.clear()
@@ -613,7 +625,6 @@ class Engine:
                             clock = arrival
                         st.blocked_on = None
                 gen_send = st.gen.send
-                fire = None
                 while True:
                     try:
                         req = gen_send(value)
@@ -696,19 +707,15 @@ class Engine:
                         pass
                     elif cls is CollectiveOp:
                         st.blocked_on = req
-                        fire = self._post_collective(r, req, size)
+                        self._post_collective(r, req, size)
                         break
                     else:
                         raise ProgramError(f"rank {r} yielded unsupported request {req!r}")
                 clk_arr[r] = clock
                 st.send_value = None
-                if fire is not None:
-                    # the last member posted: run the vectorized executor
-                    # (after this rank's clock flush) and wake the group
-                    returns = run_collective(fire, arr, topo, machine)
-                    for i, member in enumerate(fire[0].group):
-                        states[member].send_value = returns[i]
-                        ready.append(member)
+            if self._completed_collectives:
+                ready.extend(self._flush_collectives(states))
+                continue
             if not active:
                 return
             if barrier_blocked == active:
@@ -828,7 +835,6 @@ class Engine:
                                 clock = arrival
                             st.blocked_on = None
                     gen_send = st.gen.send
-                    fire = None
                     while True:
                         try:
                             req = gen_send(value)
@@ -892,20 +898,12 @@ class Engine:
                         if cls is CollectiveOp:
                             st.blocked_on = req
                             clk_arr[r] = clock
-                            fire = self._post_collective(r, req, size)
+                            self._post_collective(r, req, size)
                             break
                         raise ProgramError(
                             f"rank {r} yielded unsupported request {req!r}"
                         )
                     st.send_value = None
-                    if fire is not None:
-                        # the last member posted: every member is parked
-                        # with a flushed clock, so run the vectorized
-                        # executor and schedule the group's resumes
-                        returns = run_collective(fire, arr, topo, machine)
-                        for i, member in enumerate(fire[0].group):
-                            states[member].send_value = returns[i]
-                            schedule(clk_arr.item(member), PRI_RESUME, member)
 
                 # ---- batched charging (one vectorized shot per kind) ----
                 if comp_items:
@@ -1095,6 +1093,10 @@ class Engine:
                                             )
                                 clk_arr[r] = clock
                                 schedule(clock, PRI_RESUME, r)
+            if self._completed_collectives:
+                for member in self._flush_collectives(states):
+                    schedule(clk_arr.item(member), PRI_RESUME, member)
+                continue
             if not active:
                 return
             if barrier_blocked == active:
@@ -1267,20 +1269,22 @@ class Engine:
             c2 = self._arr.clock.item(woken)
             self._schedule(arrival if arrival > c2 else c2, PRI_WAKE, woken)
 
-    def _post_collective(
-        self, r: int, req: CollectiveOp, size: int
-    ) -> list[CollectiveOp] | None:
-        """Park rank *r* on its macro collective; return the full post list
-        once every member of the group has posted (else ``None``).
+    def _post_collective(self, r: int, req: CollectiveOp, size: int) -> None:
+        """Park rank *r* on its macro collective; once every member of the
+        group has posted, queue the post list for :meth:`_flush_collectives`.
 
-        Pending collectives are bucketed by ``(kind, tag, len(group))``
-        and matched by group equality.  Disjoint concurrent groups (the
-        common case: row/column subcubes of one phase) mismatch on their
-        first rank, so the scan stays O(#concurrent groups) per post with
-        a single full comparison for the matching entry.
+        Pending collectives are keyed by ``(kind, tag, len(group),
+        group[0], group[-1])``, so finding a rank's entry costs O(1)
+        expected time however many groups of a phase are in flight; a key
+        shared by different groups is resolved by full group equality
+        (which short-circuits on the shared list object drivers hand
+        every member).
         """
         group = req.group
-        key = (req.kind, req.tag, len(group))
+        g = len(group)
+        if not g:
+            raise ProgramError(f"rank {r} posted a collective for a group it is not in")
+        key = (req.kind, req.tag, g, group[0], group[-1])
         bucket = self._pending_collectives.get(key)
         entry = None
         if bucket is not None:
@@ -1291,12 +1295,12 @@ class Engine:
                     break
         if entry is None:
             pos = {rank: i for i, rank in enumerate(group)}
-            if len(pos) != len(group):
+            if len(pos) != g:
                 raise ProgramError(f"collective group has duplicate ranks: {list(group)!r}")
             for member in group:
                 if not 0 <= member < size:
                     raise ProgramError(f"collective group member {member} outside [0, {size})")
-            entry = [[None] * len(group), 0, pos, group]
+            entry = [[None] * g, 0, pos, group]
             if bucket is None:
                 bucket = self._pending_collectives[key] = []
             bucket.append(entry)
@@ -1310,12 +1314,36 @@ class Engine:
             )
         posts[i] = req
         entry[1] += 1
-        if entry[1] == len(posts):
+        if entry[1] == g:
             bucket.remove(entry)
             if not bucket:
                 del self._pending_collectives[key]
-            return posts
-        return None
+            self._completed_collectives.setdefault((req.kind, g), []).append(posts)
+
+    def _flush_collectives(self, states: list[_RankState]) -> list[int]:
+        """Execute every completed macro collective; return the members to resume.
+
+        The dynamic schedulers call this when they run out of runnable
+        ranks, before their barrier and deadlock checks.  Parking a
+        completed group until then is exact — nothing but its own
+        collective writes a parked rank's clock or accounts — and lets
+        all concurrent groups of one ``(kind, g)`` (the r² broadcast
+        groups of a GK stage, say) share one vectorized
+        :func:`~repro.simulator.macro.run_collective` call.  Each member's
+        result is left in its ``send_value``.
+        """
+        completed = self._completed_collectives
+        self._completed_collectives = {}
+        arr = self._arr
+        assert arr is not None  # set by run() before any scheduler body
+        woken: list[int] = []
+        for groups in completed.values():
+            results = run_collective(groups, arr, self.topology, self.machine)
+            for posts, returns in zip(groups, results):
+                for member, value in zip(posts[0].group, returns):
+                    states[member].send_value = value
+                    woken.append(member)
+        return woken
 
     def _release_barrier_ready(self, states: list[_RankState]) -> None:
         """Vectorized barrier release for the ready scheduler (tracing falls

@@ -148,10 +148,11 @@ class CollectiveOp:
     engine advertises the macro fast path
     (:attr:`~repro.simulator.engine.RankInfo.macro_collectives`).  The
     engine parks the rank until every member of *group* has posted the
-    matching request — same ``(kind, group, tag)`` — and then simulates
-    the whole collective as one closed-form, vectorized clock/stats
-    update (:mod:`repro.simulator.macro`) whose results are bit-identical
-    to the message-level reference implementation.  The generator is
+    matching request — same ``(kind, group, tag)`` — and, once no rank is
+    left to run, simulates the collective together with every other
+    completed group of its kind and size as one closed-form, vectorized
+    clock/stats update (:mod:`repro.simulator.macro`) whose results are
+    bit-identical to the message-level reference implementation.  The generator is
     resumed with exactly the value the reference collective would have
     returned.
 

@@ -78,8 +78,7 @@ def test_fig45_cannon_points_compiled_equal_heap(n, p):
 @pytest.mark.parametrize("all_port", [False, True], ids=["one-port", "all-port"])
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial-shifts", "overlap-shifts"])
 def test_cannon_variants_compiled_equal_heap(overlap, all_port, macro, monkeypatch):
-    if macro:
-        monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
     machine = MachineParams(ts=30.0, tw=2.0, th=1.0, all_port=all_port, name="m")
     for key, n, p in [("cannon", 16, 16), ("cannon", 32, 64)]:
         A, B = _operands(n)
@@ -107,7 +106,6 @@ def test_product_false_is_timing_only_on_every_driver(key, n, p, scheduler):
 
 @pytest.mark.parametrize("key,n,p", [("simple", 16, 16), ("berntsen", 8, 8)])
 def test_product_without_stacked_program_falls_back(key, n, p, monkeypatch):
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)  # both compile for timing
     A, B = _operands(n)
     timing = registry.run(key, A, B, p, machine=NCUBE2_LIKE,
                           scheduler="compiled", product=False)
@@ -265,7 +263,6 @@ def test_closed_form_matches_heap_where_heap_runs(overlap):
 
 def test_non_shift_macro_collective_payloads_fall_back(monkeypatch):
     """Only a shift is a pure permutation; other collectives go to heap."""
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
     p = 8
     group = list(range(p))
     blocks = np.arange(p * 2, dtype=np.float64).reshape(p, 2)
@@ -329,7 +326,7 @@ def test_message_level_schedule_shares_routing_and_frees_arrivals(monkeypatch):
     """Without macro shifts every roll is a Send/Recv pair; the schedule
     holds one read-only dst vector per roll direction, and replay drops
     each arrival vector once its receive has read it."""
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 10**9)
+    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", False)
     schedules = _capture_schedules(monkeypatch)
     p = 1024
     A, B = _operands(64)
@@ -353,7 +350,6 @@ def test_message_level_schedule_shares_routing_and_frees_arrivals(monkeypatch):
 def test_macro_shift_phases_share_precomputed_routing(monkeypatch):
     """Every serial roll lowers to a shift phase; phases rolling the same
     axis share one dst, src and hops vector, and src inverts dst."""
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
     schedules = _capture_schedules(monkeypatch)
     p = 1024
     A, B = _operands(64)

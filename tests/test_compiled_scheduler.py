@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.simulator.collectives as coll
 import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
 from repro.core.machine import MachineParams, NCUBE2_LIKE
@@ -93,8 +92,7 @@ def assert_same_returns(got, want):
 def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypatch):
     """The timing-only replay (``product=False``) of every driver that
     compiles matches heap and rescan on every per-rank account."""
-    if macro:
-        monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
     res_c = _run_driver(key, n, p, "compiled", product=False)
     res_h = _run_driver(key, n, p, "heap")
     res_r = _run_driver(key, n, p, "rescan")
@@ -114,8 +112,7 @@ def test_compiled_product_matches_heap_on_drivers(key, n, p, macro, monkeypatch)
     """A compiled run that needs the product keeps it: either the blocks
     rode the replay (C and returns bitwise equal to heap's) or the run
     fell back to heap with a reason — never ``C is None``."""
-    if macro:
-        monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
+    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
     res_c = _run_driver(key, n, p, "compiled")
     res_h = _run_driver(key, n, p, "heap")
     _assert_identical(res_c.sim, res_h.sim, p)
@@ -137,11 +134,9 @@ def test_compiled_engagement_matches_registry_annotation(key, n, p, product, mon
 
     ``rank_symmetric`` advertises whether the default driver config
     compiles for timing; with the product requested only the drivers
-    marked ``compiled_product`` stay compiled.  The group-size cutoff is
-    pinned to 2 so the small test grids take the same macro executors
-    the 64k runs do.
+    marked ``compiled_product`` stay compiled.  The small test grids take
+    the same macro executors the 64k runs do.
     """
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
     res = _run_driver(key, n, p, "compiled", product=product)
     entry = registry.get(key)
     expected = entry.rank_symmetric and (entry.compiled_product or not product)
@@ -155,7 +150,6 @@ def test_cannon_macro_shifts_compiled_bit_identical(p, overlap, monkeypatch):
     """Mid-scale points on the real 64k path (macro collectives active):
     serial rolls replay as shift phases charged on precomputed routing,
     overlapped rolls as SendAll phases."""
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
     res_c = _run_driver("cannon", 32, p, "compiled", overlap_shifts=overlap)
     res_h = _run_driver("cannon", 32, p, "heap", overlap_shifts=overlap)
     assert res_c.sim.compiled, res_c.sim.compile_fallback
@@ -395,7 +389,6 @@ def test_numba_gating_off_by_default():
 
 @pytest.mark.parametrize("scheduler", ["ready", "rescan", "heap", "compiled"])
 def test_totals_match_per_rank_stats(scheduler, monkeypatch):
-    monkeypatch.setattr(coll, "MACRO_GROUP_MIN", 2)
     res = _run_driver("cannon", 16, 16, scheduler)
     sim = res.sim
     # int totals: exact equality against the Python sum over the views

@@ -72,6 +72,29 @@ class TestFigures45:
         assert res.crossover_sim is not None and 88 < res.crossover_sim < 352
         assert res.crossover_model == pytest.approx(295, abs=12)
 
+    #: crossovers printed in results/fig4.txt and results/fig5.txt:
+    #: (simulated, model)
+    PUBLISHED = {
+        "fig4": (74.22852949407638, 82.19218670625303),
+        "fig5": (257.6538239928533, 294.3119904139276),
+    }
+
+    def test_default_figures_reproduce_published_crossovers_on_both_paths(self, monkeypatch):
+        """The full default grids hit the published crossovers exactly, and
+        every simulated efficiency is the same with macro collectives on
+        (deferred cross-group batches) and off (message level)."""
+        import repro.simulator.engine as engine_mod
+
+        rows = {}
+        for macro in (True, False):
+            monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
+            for fig, run in (("fig4", figures45.run_fig4), ("fig5", figures45.run_fig5)):
+                res = run()
+                assert (res.crossover_sim, res.crossover_model) == self.PUBLISHED[fig]
+                rows[macro, fig] = [(r["n"], r["E_gk_sim"], r["E_cannon_sim"]) for r in res.rows]
+        for fig in ("fig4", "fig5"):
+            assert rows[True, fig] == rows[False, fig]
+
     def test_verification_catches_corruption(self):
         # the driver verifies every product; a sanity check that it runs
         res = figures45.run_fig4(sizes=(16,))

@@ -17,21 +17,25 @@ rank.  This file pins that contract three ways:
   where the reference copies (reduce-scatter) no two ranks may end up
   with memory-sharing views.
 
-``MACRO_GROUP_MIN`` is pinned to 2 throughout so small (fast-to-run)
-groups exercise the macro executors that production only uses for
-``g >= 64``.
+Every group size takes the macro path, so small (fast-to-run) groups
+exercise the same executors the large runs use.  The engine defers
+completed groups and charges all concurrent groups of one kind and size
+in one call; the driver-level tests below pin that cross-group batching
+on GK, DNS and the other algorithms, and the failure tests pin the
+rendezvous errors under deferral.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.simulator.collectives as coll
+import repro.simulator.engine as engine_mod
+from repro.algorithms.dns import run_dns_block
+from repro.algorithms.gk import run_gk
+from repro.algorithms.registry import run as run_registered
 from repro.core.machine import CM5, NCUBE2_LIKE, MachineParams
 from repro.simulator.collectives import (
     allgather_recursive_doubling,
@@ -43,18 +47,10 @@ from repro.simulator.collectives import (
     shift_cyclic,
 )
 from repro.simulator.engine import run_spmd
+from repro.simulator.errors import DeadlockError, ProgramError
+from repro.simulator.macro import binomial_rounds
+from repro.simulator.request import CollectiveOp
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
-
-
-@contextmanager
-def macro_group_min(value: int):
-    """Temporarily lower the macro cutoff so tiny groups take the fast path."""
-    prev = coll.MACRO_GROUP_MIN
-    coll.MACRO_GROUP_MIN = value
-    try:
-        yield
-    finally:
-        coll.MACRO_GROUP_MIN = prev
 
 
 def deep_eq(a, b) -> bool:
@@ -91,8 +87,7 @@ def assert_identical(res_a, res_b, label: str):
 
 def run_three_ways(p, topo, machine, factory):
     """(macro+ready, message+ready, message+rescan) runs of one program."""
-    with macro_group_min(2):
-        macro = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=True)
+    macro = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=True)
     msg = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=False)
     rescan = run_spmd(topo, machine, factory, scheduler="rescan", macro_collectives=False)
     return macro, msg, rescan
@@ -299,17 +294,18 @@ def test_fuzz_macro_matches_reference(seed, p, rounds, machine, fully_connected)
     macro, msg, rescan = run_three_ways(p, topo, machine, factory)
     assert_identical(macro, msg, f"seed={seed} macro vs message-ready")
     assert_identical(macro, rescan, f"seed={seed} macro vs rescan reference")
+    heap = run_spmd(topo, machine, factory, scheduler="heap", macro_collectives=True)
+    assert_identical(heap, rescan, f"seed={seed} heap macro vs rescan reference")
 
 
 # -- payload aliasing: the zero-copy contract --------------------------------------
 
 
 def _run_macro(p, factory, machine=NCUBE2_LIKE):
-    with macro_group_min(2):
-        return run_spmd(
-            Hypercube.of_size(p), machine, factory,
-            scheduler="ready", macro_collectives=True,
-        )
+    return run_spmd(
+        Hypercube.of_size(p), machine, factory,
+        scheduler="ready", macro_collectives=True,
+    )
 
 
 def _run_reference(p, factory, machine=NCUBE2_LIKE):
@@ -478,3 +474,215 @@ class TestPayloadAliasing:
                     assert np.array_equal(res.returns[r], np.full(4, float(sum(range(p)))))
                 else:
                     assert res.returns[r] is None
+
+
+# -- deferred cross-group execution on the algorithm drivers -----------------------
+
+def _assert_driver_identical(res_a, res_b, label: str):
+    assert_identical(res_a.sim, res_b.sim, label)
+    assert res_a.C.dtype == res_b.C.dtype
+    assert np.array_equal(res_a.C, res_b.C), label
+
+
+def _operands(n: int, seed: int = 5):
+    rng = np.random.default_rng((seed, n))
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+def _both_paths(monkeypatch, run):
+    """``run()`` with macro collectives on, then off (the message-level oracle)."""
+    out = []
+    for macro in (True, False):
+        monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
+        out.append(run())
+    return out
+
+
+#: (p, uniform n, ragged n) for GK: p = r**3, ragged n not divisible by r
+GK_CASES = [(8, 4, 5), (64, 8, 10), (512, 16, 20)]
+TOPOLOGY_KINDS = {
+    "hypercube-relay": lambda p: Hypercube.of_size(p),
+    "fully-connected-direct": lambda p: FullyConnected(p),
+}
+
+
+@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("topo_kind", sorted(TOPOLOGY_KINDS))
+@pytest.mark.parametrize("blocks", ["uniform", "ragged"])
+@pytest.mark.parametrize("p,n_uniform,n_ragged", GK_CASES, ids=[f"p{c[0]}" for c in GK_CASES])
+def test_gk_deferred_batches_bit_identical(
+    p, n_uniform, n_ragged, blocks, topo_kind, scheduler, monkeypatch
+):
+    """GK's r² concurrent bcast/reduce groups charged together equal the
+    message-level run; ragged blocks give per-row word counts."""
+    n = n_uniform if blocks == "uniform" else n_ragged
+    A, B = _operands(n)
+    macro, msg = _both_paths(
+        monkeypatch,
+        lambda: run_gk(A, B, p, topology=TOPOLOGY_KINDS[topo_kind](p), scheduler=scheduler),
+    )
+    _assert_driver_identical(macro, msg, f"gk p={p} n={n} {topo_kind} {scheduler}")
+    np.testing.assert_allclose(macro.C, A @ B, atol=1e-10 * n)
+
+
+#: (n, r) for DNS-block: p = n*n*r in {8, 64, 512}; the last has 8x8
+#: superprocessors, so its inner Cannon shifts run as batches too
+DNS_BLOCK_CASES = [(2, 2), (4, 4), (16, 2)]
+
+
+@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("topo_kind", sorted(TOPOLOGY_KINDS))
+@pytest.mark.parametrize("n,r", DNS_BLOCK_CASES, ids=[f"p{n * n * r}" for n, r in DNS_BLOCK_CASES])
+def test_dns_block_deferred_batches_bit_identical(n, r, topo_kind, scheduler, monkeypatch):
+    A, B = _operands(n)
+    p = n * n * r
+    macro, msg = _both_paths(
+        monkeypatch,
+        lambda: run_dns_block(A, B, r, topology=TOPOLOGY_KINDS[topo_kind](p), scheduler=scheduler),
+    )
+    _assert_driver_identical(macro, msg, f"dns-block n={n} r={r} {topo_kind} {scheduler}")
+    np.testing.assert_allclose(macro.C, A @ B, atol=1e-10 * n)
+
+
+@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("key,n,p", [
+    ("simple", 8, 16), ("simple", 16, 64),
+    ("berntsen", 8, 8), ("berntsen", 16, 64),
+    ("fox", 8, 16), ("fox", 16, 64),
+])
+def test_other_algorithms_deferred_bit_identical(key, n, p, scheduler, monkeypatch):
+    A, B = _operands(n)
+    macro, msg = _both_paths(
+        monkeypatch,
+        lambda: run_registered(key, A, B, p, machine=CM5, scheduler=scheduler),
+    )
+    _assert_driver_identical(macro, msg, f"{key} p={p} {scheduler}")
+
+
+@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+def test_one_flush_mixes_roots_and_word_counts(scheduler, monkeypatch):
+    """Four concurrent groups with different roots and payload sizes are
+    charged by a single executor call per collective, bit-identical to the
+    message-level run."""
+    p, g = 16, 4
+    groups = [[q + 4 * i for i in range(g)] for q in range(p // g)]  # strided rows
+
+    def factory(info):
+        def body():
+            q = info.rank % 4
+            group = groups[q]
+            root = q % g  # a different root in every group
+            words = 3 + 5 * q  # a different size in every group
+            data = np.full(words, float(info.rank)) if group[root] == info.rank else None
+            got = yield from bcast_binomial(info, group, root, data)
+            total = yield from reduce_binomial(
+                info, group, (root + 1) % g, got * info.rank,
+                charge_op=lambda x: float(x.size),
+            )
+            return got, total
+
+        return body()
+
+    calls = []
+    real = engine_mod.run_collective
+
+    def spy(batch, *args):
+        calls.append((
+            batch[0][0].kind,
+            len(batch),
+            {posts[0].root_index for posts in batch},
+            {len(next(q.data for q in posts if q.data is not None)) for posts in batch},
+        ))
+        return real(batch, *args)
+
+    monkeypatch.setattr(engine_mod, "run_collective", spy)
+    topo = Hypercube.of_size(p)
+    macro = run_spmd(topo, NCUBE2_LIKE, factory, scheduler=scheduler, macro_collectives=True)
+    msg = run_spmd(topo, NCUBE2_LIKE, factory, scheduler=scheduler, macro_collectives=False)
+    assert calls == [
+        ("bcast", 4, {0, 1, 2, 3}, {3, 8, 13, 18}),
+        ("reduce", 4, {0, 1, 2, 3}, {3, 8, 13, 18}),
+    ]
+    assert_identical(macro, msg, f"mixed roots/sizes {scheduler}")
+
+
+# -- failure behaviour under deferral ----------------------------------------------
+
+
+def _raw_post(kind="bcast", group=(0, 1, 2, 3), **kw):
+    return CollectiveOp(kind=kind, group=list(group), data=np.zeros(2), **kw)
+
+
+@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+def test_group_that_never_fills_deadlocks_naming_parked_ranks(scheduler):
+    """Group [0, 1] completes and is flushed; rank 3 never joins [2, 3]."""
+
+    def factory(info):
+        def body():
+            if info.rank in (0, 1):
+                got = yield from bcast_binomial(info, [0, 1], 0, np.ones(2))
+                return got
+            if info.rank == 2:
+                got = yield from bcast_binomial(info, [2, 3], 0, np.ones(2))
+                return got
+            return None
+            yield  # pragma: no cover - makes this a generator
+
+        return body()
+
+    with pytest.raises(DeadlockError) as exc:
+        run_spmd(Hypercube.of_size(4), NCUBE2_LIKE, factory,
+                 scheduler=scheduler, macro_collectives=True)
+    assert set(exc.value.blocked) == {2}
+    assert "bcast" in exc.value.blocked[2]
+
+
+@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("case", ["not-member", "disagreeing-roots", "duplicate", "out-of-range"])
+def test_rendezvous_errors_under_deferral(case, scheduler):
+    def factory(info):
+        def body():
+            if case == "not-member":
+                req = _raw_post(group=[1, 2, 3]) if info.rank == 0 else _raw_post()
+            elif case == "disagreeing-roots":
+                req = _raw_post(root_index=info.rank % 2)
+            elif case == "duplicate":
+                req = _raw_post(group=[0, 1, 1, 2])
+            else:
+                req = _raw_post(group=[0, 1, 2, 9])
+            got = yield req
+            return got
+
+        return body()
+
+    with pytest.raises(ProgramError):
+        run_spmd(Hypercube.of_size(4), NCUBE2_LIKE, factory,
+                 scheduler=scheduler, macro_collectives=True)
+
+
+def test_posting_twice_to_a_pending_group_raises():
+    eng = engine_mod.Engine(Hypercube.of_size(4), NCUBE2_LIKE)
+    eng._post_collective(0, _raw_post(), 4)
+    with pytest.raises(ProgramError, match="twice"):
+        eng._post_collective(0, _raw_post(), 4)
+
+
+def test_groups_sharing_end_ranks_rendezvous_separately():
+    """Pending entries keyed by (kind, tag, g, first, last) still match by
+    full group: [0, 1, 3] and [0, 2, 3] share a key but not a group."""
+    eng = engine_mod.Engine(Hypercube.of_size(4), NCUBE2_LIKE)
+    for r in (1, 3):
+        eng._post_collective(r, _raw_post(group=[0, 1, 3]), 4)
+    eng._post_collective(2, _raw_post(group=[0, 2, 3]), 4)
+    assert not eng._completed_collectives
+    eng._post_collective(0, _raw_post(group=[0, 1, 3]), 4)
+    assert [posts[0].group for posts in eng._completed_collectives[("bcast", 3)]] == [[0, 1, 3]]
+
+
+# -- the binomial round count ------------------------------------------------------
+
+
+def test_binomial_rounds_is_least_covering_power_of_two():
+    for g in range(1, 4097):
+        k = binomial_rounds(g)
+        assert 2**k >= g and (k == 0 or 2 ** (k - 1) < g), g

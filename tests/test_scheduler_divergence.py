@@ -9,10 +9,10 @@ Figure 5 (``p = 512`` / ``p = 484``) processor counts.  Every observable
 stats account, message/word conservation, and the computed product.
 
 Each configuration runs with the macro-collective fast path both off
-and forced on (``MACRO_GROUP_MIN`` pinned to 2, so even the figures'
-small row/column groups take the macro executors): the ready scheduler
-with macro collectives must match the rescan reference — which always
-simulates message level — exactly.
+and on (every group size takes the macro executors, so the figures'
+small row/column groups are charged as deferred cross-group batches):
+the ready scheduler with macro collectives must match the rescan
+reference — which always simulates message level — exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.simulator.collectives as collectives_mod
 import repro.simulator.engine as engine_mod
 from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk_cm5
@@ -49,14 +48,11 @@ def _run(algorithm: str, n: int, p: int, scheduler: str, macro: bool, monkeypatc
     The process-wide default is flipped the same way
     ``benchmarks/perf_guard.py`` does (the engine's contract is that the
     choice is unobservable; the drivers' ``scheduler=`` kwarg covers
-    explicit selection elsewhere).  With *macro*, the group-size cutoff
-    is pinned to 2 so the figures' row/column groups (8–64 ranks) take
-    the macro executors.
+    explicit selection elsewhere).  With *macro*, the figures'
+    row/column groups (8–64 ranks) take the macro executors.
     """
     monkeypatch.setattr(engine_mod, "DEFAULT_SCHEDULER", scheduler)
     monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
-    if macro:
-        monkeypatch.setattr(collectives_mod, "MACRO_GROUP_MIN", 2)
     rng = np.random.default_rng((0, n))
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
