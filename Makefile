@@ -63,7 +63,7 @@ scale-16k-smoke:
 # (record->replay) scheduler: the rolls replay as shift phases charged
 # on precomputed absolute-rank routing and only the probe ranks ever run
 # Python, so the 64k point takes about a second; timing is fuzz-gated
-# bit-identical to the heap scheduler at p <= 4096 and pinned to
+# bit-identical to the ready scheduler at p <= 4096 and pinned to
 # Cannon's closed-form T_p up to p = 65536 by the test suite.
 scale-64k-smoke:
 	python -m repro.experiments scaling-large --p-values 65536 --n0 2 --no-verify --no-disk-cache

@@ -5,25 +5,25 @@ implementation it replaced:
 
 * ``engine`` — one representative grid of simulations under the seed
   ``rescan`` scheduler vs the event-driven ``ready`` scheduler.
-* ``engine_heap`` — the event-heap scheduler on a message-path-heavy
-  relay-ring workload at ``p = 4096`` and ``p = 16384``.  Tokens travel
-  toward decreasing ranks, so every rescan pass (which steps ranks in
-  increasing order) advances each ring by a single hop and pays an
-  O(p) scan per event — the scheduling cost the heap's O(log p) pops
-  eliminate.  The *gated* configuration is fault-active: with a
-  ``FaultPlan`` set, requesting ``scheduler="ready"`` silently resolves
-  to the rescan reference (that fallback is exactly the 4096-rank
-  ceiling the heap core removes), so the heap-vs-ready-setting speedup
-  there is the honest measure of what selecting ``heap`` buys.  Plain
-  no-fault numbers for all three schedulers are reported informationally.
+* ``engine_ready`` — the ready scheduler vs the rescan reference on a
+  message-path-heavy relay-ring workload at ``p = 4096`` and
+  ``p = 16384``.  Tokens travel toward decreasing ranks, so every rescan
+  pass (which steps ranks in increasing order) advances each ring by a
+  single hop and pays an O(p) scan per event — the scheduling cost the
+  ready queue never pays.  The *gated* configuration is fault-active: a
+  ``FaultPlan`` runs the ready queue's exact loop, which charges every
+  request through the reference helpers, so the ready-vs-rescan
+  speedup there isolates what the queue buys on fault-active runs.
+  Plain no-fault numbers are reported informationally.
 * ``engine_compiled`` — the trace compiler (``scheduler="compiled"``)
-  on fault-free Cannon at ``p = 65536`` (``--fast``: 4096) vs the event
-  heap.  The compiled path replays the recorded batch schedule with zero
-  generator resumes, so its advantage grows with rank count; the run is
-  first cross-checked bit-identical against the heap at ``p <= 4096``
-  (every per-rank account), then timed.  Gated at >= 8x on the full run.
+  on fault-free Cannon at ``p = 65536`` (``--fast``: 4096) vs the ready
+  scheduler.  The compiled path replays the recorded batch schedule
+  with zero generator resumes, so its advantage grows with rank count;
+  the run is first cross-checked bit-identical against ready at
+  ``p <= 4096`` (every per-rank account), then timed.  Gated at >= 8x on
+  the full run.
 * ``memory`` — peak RSS (each child's own ``VmHWM``) of subprocess Cannon
-  runs at ``p = 16384`` (``--fast``: 1024) under the heap vs compiled
+  runs at ``p = 16384`` (``--fast``: 1024) under the ready vs compiled
   schedulers (the compiled replay never materializes 16k generators),
   plus an in-process ``tracemalloc`` smoke pass recording traced peak
   and live allocation blocks for both schedulers at ``p = 1024``.
@@ -71,8 +71,8 @@ Results land in ``BENCH_PR10.json`` together with pass/fail acceptance
 flags (pipeline sweep >= 2.5x, region_map >= 5x, macro broadcast >= 4x
 over the reference, Figure 4/5 pipeline >= 1.25x, refinement >= 8x at
 its largest grid and >= 1.5x at 1024^2, warm disk-cache figures
-pipeline >= 10x over cold, engine_heap fault-active >= 10x at
-p = 16384, engine_compiled >= 8x over the heap at p = 65536 and
+pipeline >= 10x over cold, engine_ready fault-active >= 10x over rescan
+at p = 16384, engine_compiled >= 8x over ready at p = 65536 and
 bit-identical to it at p <= 4096, serving batched throughput >= 8x
 over batching-disabled with bit-identical responses and a warm start
 that re-evaluates nothing).  Run it directly::
@@ -160,27 +160,17 @@ def _seed_style_region_cells(machine, log2_p_max, log2_n_max):
     return [[best_algorithm(n, p, machine) for p in p_values] for n in n_values]
 
 
-def _with_scheduler(name: str, fn):
-    """Run *fn* with the module-default scheduler forced to *name*."""
-    prev = engine.DEFAULT_SCHEDULER
-    engine.DEFAULT_SCHEDULER = name
+def _with_defaults(fn, *, scheduler: str | None = None, macro: bool | None = None):
+    """Run *fn* with the engine's module defaults forced where given."""
+    prev = engine.DEFAULT_SCHEDULER, engine.DEFAULT_MACRO_COLLECTIVES
+    if scheduler is not None:
+        engine.DEFAULT_SCHEDULER = scheduler
+    if macro is not None:
+        engine.DEFAULT_MACRO_COLLECTIVES = macro
     try:
         return fn()
     finally:
-        engine.DEFAULT_SCHEDULER = prev
-
-
-def _with_config(scheduler: str, macro: bool, fn):
-    """Run *fn* with both engine defaults (scheduler, macro path) forced."""
-    prev_s = engine.DEFAULT_SCHEDULER
-    prev_m = engine.DEFAULT_MACRO_COLLECTIVES
-    engine.DEFAULT_SCHEDULER = scheduler
-    engine.DEFAULT_MACRO_COLLECTIVES = macro
-    try:
-        return fn()
-    finally:
-        engine.DEFAULT_SCHEDULER = prev_s
-        engine.DEFAULT_MACRO_COLLECTIVES = prev_m
+        engine.DEFAULT_SCHEDULER, engine.DEFAULT_MACRO_COLLECTIVES = prev
 
 
 def _time(fn, repeats: int) -> float:
@@ -205,8 +195,8 @@ def bench_engine(fast: bool, repeats: int) -> dict:
             for p in p_values:
                 run_cannon(A, B, p, machine=MACHINE)
 
-    rescan = _time(lambda: _with_scheduler("rescan", run_grid), repeats)
-    ready = _time(lambda: _with_scheduler("ready", run_grid), repeats)
+    rescan = _time(lambda: _with_defaults(run_grid, scheduler="rescan"), repeats)
+    ready = _time(run_grid, repeats)
     return {"rescan_s": rescan, "ready_s": ready, "speedup": rescan / ready}
 
 
@@ -216,7 +206,7 @@ def _relay_factory(ring_len: int):
     The token moves toward decreasing ranks, so the rescan scheduler's
     increasing-rank pass advances each ring by exactly one hop per O(p)
     scan: total rescan work is O(ring_len * p) while the event count —
-    what the heap scheduler's cost tracks — stays O(p).
+    what the ready scheduler's cost tracks — stays O(p).
     """
 
     def prog(info):
@@ -235,21 +225,19 @@ def _relay_factory(ring_len: int):
     return prog
 
 
-def bench_engine_heap(fast: bool, repeats: int) -> dict:
-    """Heap vs ready vs rescan on the message-path relay workload.
+def bench_engine_ready(fast: bool, repeats: int) -> dict:
+    """Ready vs rescan on the message-path relay workload.
 
     Two configurations per machine size:
 
-    * *plain* — no faults, no tracing.  All three schedulers are real
-      alternatives here; the heap-vs-rescan ratio shows the scheduling
-      asymptotics, the heap-vs-ready ratio is honest about the shared
-      per-event floor (generator resumes, request objects) that no
-      scheduler removes.
-    * *fault_active* — an active ``FaultPlan`` (link degradation).  Here
-      ``scheduler="ready"`` resolves to the rescan reference — the
-      pre-heap engine had no fast path at all in this configuration —
-      so this ratio is what the ``heap`` selection actually buys on
-      fault-active runs, and it is the gated number.
+    * *plain* — no faults, no tracing.  The ready-vs-rescan ratio shows
+      the scheduling asymptotics; the absolute times show the per-event
+      floor (generator resumes, request objects) that no scheduler
+      removes.
+    * *fault_active* — an active ``FaultPlan`` (link degradation).  Both
+      schedulers charge every request through the reference helpers, so
+      the ratio is what the ready queue buys on fault-active runs, and
+      it is the gated number.
 
     Every timed run's ``parallel_time`` is cross-checked between
     schedulers, so the speedup is never measured against a diverged
@@ -263,7 +251,7 @@ def bench_engine_heap(fast: bool, repeats: int) -> dict:
         length = min(ring_len, p)
         prog = _relay_factory(length)
         topo = FullyConnected(p)
-        # the p = 16384 rescan baseline alone runs for ~10 s; one repeat
+        # the p = 16384 rescan baseline alone runs for ~15 s; one repeat
         rep = repeats if p <= 4096 else 1
 
         def run_with(scheduler: str, fault: bool):
@@ -273,36 +261,18 @@ def bench_engine_heap(fast: bool, repeats: int) -> dict:
             )
             return eng.run([prog] * p).parallel_time
 
-        t_p = {
-            (s, f): run_with(s, f)
-            for s in ("heap", "ready", "rescan") for f in (False, True)
-        }
-        assert len({t for (s, f), t in t_p.items() if not f}) == 1
-        assert len({t for (s, f), t in t_p.items() if f}) == 1
+        for fault in (False, True):
+            assert run_with("ready", fault) == run_with("rescan", fault)
 
-        heap_s = _time(lambda: run_with("heap", False), rep)
-        ready_s = _time(lambda: run_with("ready", False), rep)
-        rescan_s = _time(lambda: run_with("rescan", False), rep)
-        fault_heap_s = _time(lambda: run_with("heap", True), rep)
-        fault_ready_setting_s = _time(lambda: run_with("ready", True), rep)
-        sizes[str(p)] = {
-            "ring_len": length,
-            "plain": {
-                "heap_s": heap_s,
+        sizes[str(p)] = {"ring_len": length}
+        for config, fault in (("plain", False), ("fault_active", True)):
+            ready_s = _time(lambda: run_with("ready", fault), rep)
+            rescan_s = _time(lambda: run_with("rescan", fault), rep)
+            sizes[str(p)][config] = {
                 "ready_s": ready_s,
                 "rescan_s": rescan_s,
-                "heap_over_rescan": rescan_s / heap_s,
-                "heap_over_ready": ready_s / heap_s,
-            },
-            "fault_active": {
-                "heap_s": fault_heap_s,
-                "ready_setting_s": fault_ready_setting_s,
-                "speedup": fault_ready_setting_s / fault_heap_s,
-                "note": "scheduler='ready' resolves to the rescan reference "
-                        "when a FaultPlan is active; heap is the only fast "
-                        "path in this configuration",
-            },
-        }
+                "speedup": rescan_s / ready_s,
+            }
     return {
         "workload": "relay rings toward decreasing ranks, FullyConnected",
         "sizes": sizes,
@@ -348,13 +318,13 @@ def _cannon_engine_setup(p: int):
 
 
 def bench_engine_compiled(fast: bool, repeats: int) -> dict:
-    """Trace compilation vs the event heap on fault-free Cannon.
+    """Trace compilation vs the ready scheduler on fault-free Cannon.
 
     The compiled scheduler records the symbolic request sequence of a
     few probe ranks, proves the program rank-symmetric, and replays the
     lowered batch schedule as whole-machine vectorized updates — zero
     generator resumes.  Identity first, speed second: at ``p <= 4096``
-    every per-rank account is compared bitwise against the heap before
+    every per-rank account is compared bitwise against ready before
     anything is timed, so the gated ratio can never come from a
     diverged simulation.
     """
@@ -373,32 +343,32 @@ def bench_engine_compiled(fast: bool, repeats: int) -> dict:
         assert res_c.compiled, res_c.compile_fallback
         entry: dict = {"side": int(np.sqrt(p) + 0.5)}
         if p <= 4096:
-            res_h = run_with("heap")
-            arr_c, arr_h = res_c.arrays, res_h.arrays
-            identical = res_c.parallel_time == res_h.parallel_time and all(
-                np.array_equal(getattr(arr_c, f), getattr(arr_h, f))
+            res_d = run_with("ready")
+            arr_c, arr_d = res_c.arrays, res_d.arrays
+            identical = res_c.parallel_time == res_d.parallel_time and all(
+                np.array_equal(getattr(arr_c, f), getattr(arr_d, f))
                 for f in ("clock", "compute_time", "send_time", "recv_wait_time",
                           "barrier_wait_time", "messages_sent", "words_sent")
             )
-            entry["identical_to_heap"] = bool(identical)
+            entry["identical_to_ready"] = bool(identical)
         else:
             # identity is fuzz-gated at p <= 4096; at 64k the headline
-            # number is cross-checked against the timed heap run below
-            entry["identical_to_heap"] = None
+            # number is cross-checked against the timed ready run below
+            entry["identical_to_ready"] = None
 
-        rep_heap = repeats if p <= 4096 else 1
-        heap_res: list = []
+        rep_ready = repeats if p <= 4096 else 1
+        ready_res: list = []
 
-        def run_heap():
-            heap_res.append(run_with("heap").parallel_time)
+        def run_ready():
+            ready_res.append(run_with("ready").parallel_time)
 
-        heap_s = _time(run_heap, rep_heap)
+        ready_s = _time(run_ready, rep_ready)
         compiled_s = _time(lambda: run_with("compiled"), repeats)
-        assert all(t == res_c.parallel_time for t in heap_res)
+        assert all(t == res_c.parallel_time for t in ready_res)
         entry.update({
-            "heap_s": heap_s,
+            "ready_s": ready_s,
             "compiled_s": compiled_s,
-            "speedup": heap_s / compiled_s,
+            "speedup": ready_s / compiled_s,
             "parallel_time": res_c.parallel_time,
         })
         sizes[str(p)] = entry
@@ -440,7 +410,7 @@ print(json.dumps({
 
 
 def bench_memory(fast: bool) -> dict:
-    """Peak RSS and allocation footprint, heap vs compiled schedulers.
+    """Peak RSS and allocation footprint, ready vs compiled schedulers.
 
     RSS is measured in a subprocess per scheduler (the child's own
     ``VmHWM`` covers the whole run, and a fresh interpreter keeps the two
@@ -454,18 +424,18 @@ def bench_memory(fast: bool) -> dict:
     env = {**os.environ,
            "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
     rss: dict[str, dict] = {}
-    for sched in ("heap", "compiled"):
+    for sched in ("ready", "compiled"):
         proc = subprocess.run(
             [sys.executable, "-c", _MEMORY_SNIPPET, str(p), sched],
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
         rss[sched] = json.loads(proc.stdout)
-    assert rss["heap"]["t_p"] == rss["compiled"]["t_p"]
+    assert rss["ready"]["t_p"] == rss["compiled"]["t_p"]
 
     smoke: dict[str, dict] = {}
     topo, factories, symmetry = _cannon_engine_setup(1024)
-    for sched in ("heap", "compiled"):
+    for sched in ("ready", "compiled"):
         tracemalloc.start()
         Engine(topo, MACHINE, scheduler=sched, symmetry=symmetry).run(factories)
         _, peak = tracemalloc.get_traced_memory()
@@ -477,8 +447,8 @@ def bench_memory(fast: bool) -> dict:
     return {
         "p": p,
         "vm_hwm_kb": {s: r["vm_hwm_kb"] for s, r in rss.items()},
-        "rss_ratio_heap_over_compiled":
-            rss["heap"]["vm_hwm_kb"] / rss["compiled"]["vm_hwm_kb"],
+        "rss_ratio_ready_over_compiled":
+            rss["ready"]["vm_hwm_kb"] / rss["compiled"]["vm_hwm_kb"],
         "tracemalloc_smoke_p1024": smoke,
     }
 
@@ -489,8 +459,9 @@ def bench_sweep(fast: bool, repeats: int, jobs: int) -> dict:
     p_values = (4, 16, 64) if fast else (4, 16, 64, 256)
 
     seed_once = _time(
-        lambda: _with_scheduler(
-            "rescan", lambda: _seed_style_sweep(algorithms, n_values, p_values, MACHINE)
+        lambda: _with_defaults(
+            lambda: _seed_style_sweep(algorithms, n_values, p_values, MACHINE),
+            scheduler="rescan",
         ),
         repeats,
     )
@@ -562,9 +533,11 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
     def run_bcast():
         engine.run_spmd(topo, NCUBE2_LIKE, factory)
 
-    macro_s = _time(lambda: _with_config("ready", True, run_bcast), repeats)
-    msg_ready_s = _time(lambda: _with_config("ready", False, run_bcast), repeats)
-    reference_s = _time(lambda: _with_config("rescan", False, run_bcast), repeats)
+    macro_s = _time(run_bcast, repeats)
+    msg_ready_s = _time(lambda: _with_defaults(run_bcast, macro=False), repeats)
+    reference_s = _time(
+        lambda: _with_defaults(run_bcast, scheduler="rescan", macro=False), repeats
+    )
 
     # Figure 5's GK point (CM-5, p = 512, n = 176) in absolute seconds:
     # its 64 concurrent r = 8 groups per stage are charged as one deferred
@@ -577,8 +550,8 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
     def run_gk_fig5():
         run_gk_cm5(gk_a, gk_b, 512)
 
-    gk_macro_s = _time(lambda: _with_config("ready", True, run_gk_fig5), repeats)
-    gk_msg_s = _time(lambda: _with_config("ready", False, run_gk_fig5), repeats)
+    gk_macro_s = _time(run_gk_fig5, repeats)
+    gk_msg_s = _time(lambda: _with_defaults(run_gk_fig5, macro=False), repeats)
 
     fig4_sizes = (16, 48) if fast else (16, 48, 96, 144)
     fig5_sizes = (66, 132) if fast else (66, 132, 264, 352)
@@ -589,11 +562,10 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
 
     # the pipeline runs Cannon on compiled replay; the reference runs it
     # on the configured reference scheduler like GK
-    fig45_fast_s = _time(
-        lambda: _with_config("ready", True, lambda: run_fig45("compiled")), repeats
-    )
+    fig45_fast_s = _time(lambda: run_fig45("compiled"), repeats)
     fig45_reference_s = _time(
-        lambda: _with_config("rescan", False, lambda: run_fig45(None)), repeats
+        lambda: _with_defaults(lambda: run_fig45(None), scheduler="rescan", macro=False),
+        repeats,
     )
 
     return {
@@ -770,7 +742,7 @@ def main(argv=None) -> int:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
         "engine": bench_engine(args.fast, args.repeats),
-        "engine_heap": bench_engine_heap(args.fast, args.repeats),
+        "engine_ready": bench_engine_ready(args.fast, args.repeats),
         "engine_compiled": bench_engine_compiled(args.fast, args.repeats),
         "memory": bench_memory(args.fast),
         "sweep": bench_sweep(args.fast, args.repeats, jobs),
@@ -783,20 +755,20 @@ def main(argv=None) -> int:
     configure_disk_cache(None)
     refres = report["refinement"]["resolutions"]
     largest = str(max(int(k) for k in refres))
-    heap_sizes = report["engine_heap"]["sizes"]
-    heap_largest = str(max(int(k) for k in heap_sizes))
+    ready_sizes = report["engine_ready"]["sizes"]
+    ready_largest = str(max(int(k) for k in ready_sizes))
     compiled_sizes = report["engine_compiled"]["sizes"]
     compiled_largest = str(max(int(k) for k in compiled_sizes))
     report["acceptance"] = {
         # judged at p = 16384 on full runs (--fast measures p = 1024 and
         # is informational, like every other gate)
-        "engine_heap_p16384_speedup_ge_10x":
-            heap_sizes[heap_largest]["fault_active"]["speedup"] >= 10.0,
+        "engine_ready_p16384_fault_speedup_ge_10x":
+            ready_sizes[ready_largest]["fault_active"]["speedup"] >= 10.0,
         # judged at p = 65536 on full runs (--fast measures p = 4096)
         "engine_compiled_p65536_speedup_ge_8x":
             compiled_sizes[compiled_largest]["speedup"] >= 8.0,
         "engine_compiled_bit_identical": all(
-            s["identical_to_heap"] is not False for s in compiled_sizes.values()
+            s["identical_to_ready"] is not False for s in compiled_sizes.values()
         ),
         # the seed-style baseline runs on the rescan scheduler, which the
         # ENG006 cleanup (no dead TraceEvent construction in the reference
@@ -849,22 +821,20 @@ def main(argv=None) -> int:
     print(f"engine:     rescan {report['engine']['rescan_s']:.3f}s  "
           f"ready {report['engine']['ready_s']:.3f}s  "
           f"speedup {report['engine']['speedup']:.2f}x")
-    for p, sz in heap_sizes.items():
+    for p, sz in ready_sizes.items():
         pl, fa = sz["plain"], sz["fault_active"]
-        print(f"engine_heap: p={p} plain heap {pl['heap_s']:.3f}s "
-              f"ready {pl['ready_s']:.3f}s rescan {pl['rescan_s']:.3f}s "
-              f"({pl['heap_over_rescan']:.1f}x vs rescan)  "
-              f"fault-active heap {fa['heap_s']:.3f}s "
-              f"ready-setting {fa['ready_setting_s']:.3f}s "
-              f"({fa['speedup']:.1f}x)")
+        print(f"engine_ready: p={p} plain ready {pl['ready_s']:.3f}s "
+              f"rescan {pl['rescan_s']:.3f}s ({pl['speedup']:.1f}x)  "
+              f"fault-active ready {fa['ready_s']:.3f}s "
+              f"rescan {fa['rescan_s']:.3f}s ({fa['speedup']:.1f}x)")
     for p, sz in compiled_sizes.items():
-        print(f"engine_compiled: p={p} heap {sz['heap_s']:.3f}s "
+        print(f"engine_compiled: p={p} ready {sz['ready_s']:.3f}s "
               f"compiled {sz['compiled_s']:.3f}s ({sz['speedup']:.1f}x)  "
-              f"identical {sz['identical_to_heap']}")
+              f"identical {sz['identical_to_ready']}")
     mem = report["memory"]
-    print(f"memory:     p={mem['p']} VmHWM heap {mem['vm_hwm_kb']['heap']}kB "
+    print(f"memory:     p={mem['p']} VmHWM ready {mem['vm_hwm_kb']['ready']}kB "
           f"compiled {mem['vm_hwm_kb']['compiled']}kB "
-          f"(ratio {mem['rss_ratio_heap_over_compiled']:.2f}x)")
+          f"(ratio {mem['rss_ratio_ready_over_compiled']:.2f}x)")
     print(f"sweep:      seed {report['sweep']['seed_style_s']:.3f}s  "
           f"cold {report['sweep']['new_cold_s']:.3f}s ({report['sweep']['cold_speedup']:.2f}x)  "
           f"warm {report['sweep']['new_warm_s']*1e3:.1f}ms  "

@@ -170,7 +170,7 @@ def run_berntsen(
     # the inner-Cannon rolls are rank-symmetric over the per-subcube rows
     # and columns, the final summation over the cross-subcube reduction
     # groups (the compiler probes each family; whichever stage it cannot
-    # prove symmetric triggers the heap fallback instead).  Only the
+    # prove symmetric triggers the ready fallback instead).  Only the
     # timing replays: the reduce-scatter halves each rank's partial
     # product by the rank's group position and sums in tree order, which
     # a rank-stacked body cannot reproduce, so a run that needs the

@@ -235,7 +235,7 @@ def _run_cube(
 
     # cube_route is position-dependent (relay ranks recv+send, bystanders
     # idle), so DNS/GK programs are not rank-symmetric: no SymmetrySpec,
-    # and scheduler="compiled" degrades to the heap scheduler.
+    # and scheduler="compiled" degrades to the ready scheduler.
     sim = Engine(
         topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
         symmetry=None,

@@ -145,7 +145,7 @@ def run_fox(
     # Fox's broadcast is rooted: within a row, the root's trace (send-only)
     # differs from the leaves' (recv-then-forward), so the program is not
     # rank-symmetric.  We still advertise the grid partitions — the trace
-    # compiler's probes detect the divergence and fall back to the heap
+    # compiler's probes detect the divergence and fall back to the ready
     # scheduler, which is the documented behavior for this driver.  No
     # stacked program carries its blocks, so a run that needs the product
     # declares no symmetry.

@@ -68,7 +68,7 @@ def run_gk(
 
     Like DNS, GK's stage-1 cube routing is position-dependent, so the
     program is not rank-symmetric and ``scheduler="compiled"`` degrades
-    to the heap scheduler (``sim.compile_fallback`` records why).
+    to the ready scheduler (``sim.compile_fallback`` records why).
     """
     n = check_same_shape(A, B)
     r = gk_cube_side(p)

@@ -59,14 +59,14 @@ class AlgorithmEntry:
     """Whether the driver's default configuration produces a rank-symmetric
     SPMD program that the trace compiler (``scheduler="compiled"``) can
     vectorize for timing (``product=False``).  ``False`` means a compiled
-    run degrades to the heap scheduler (``sim.compile_fallback`` records
+    run degrades to the ready scheduler (``sim.compile_fallback`` records
     why)."""
 
     compiled_product: bool = False
     """Whether a compiled run keeps the product too (``product=True``):
     the driver supplies a rank-stacked program that carries its blocks
     through the batch schedule.  Rank-symmetric drivers without one fall
-    back to heap when asked for ``C``, so ``C`` is always produced."""
+    back to ready when asked for ``C``, so ``C`` is always produced."""
 
 
 def _feasible_grid(n: int, p: int) -> bool:

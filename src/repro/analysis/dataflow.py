@@ -22,7 +22,7 @@ Sanitizers
 Sinks
     trace events (``TraceEvent(...)``), cache-key derivation
     (``key_for``/``*_shard_key``/``_canonical``), event-heap insertion
-    (``Engine._schedule``/``heappush``), simulator request fields
+    (``heappush`` or a ``_schedule`` helper), simulator request fields
     (``Send``/``Recv``/``Compute`` arguments that steer routing, tags or
     charges), and simulator state (``self.<attr> = ...`` under
     ``repro/simulator/``).
@@ -93,7 +93,7 @@ _REQUEST_SENSITIVE_KWARGS = frozenset({"dst", "src", "tag", "nwords", "cost", "r
 SINK_DESCRIPTIONS = {
     "trace-event": "a TraceEvent (the simulator's timing record)",
     "cache-key": "cache-key derivation",
-    "event-heap": "event-heap insertion (Engine._schedule/heappush)",
+    "event-heap": "event-heap insertion (heappush or a _schedule helper)",
     "request-field": "a simulator request field (dst/src/tag/nwords/cost)",
     "simulator-state": "simulator state (self.<attr> assignment)",
 }

@@ -1,8 +1,8 @@
-"""Architecture-contract rules (CACHE/SWEEP/DRIVER + generalized ENG).
+"""Architecture-contract rules (CACHE/SWEEP/DRIVER).
 
 These rules encode the cross-layer invariants introduced by PRs 3–6 —
 the persistent cache's keying discipline, the sweep pipeline's process
-fan-out, the event-heap's single insertion point, and the driver layer's
+fan-out, and the driver layer's
 obligation to thread scheduler/fault-plan configuration into the engine.
 Each is a *whole-program* property: no single file shows the violation,
 so they live on the :class:`~repro.analysis.program.Program` model.
@@ -14,12 +14,11 @@ import ast
 from typing import Iterator
 
 from repro.analysis.astutil import dotted_name
-from repro.analysis.core import Finding, ModuleSource, Rule, register
+from repro.analysis.core import Finding, Rule, register
 from repro.analysis.program import FunctionInfo, ModuleInfo, Program
 
 __all__ = [
     "MachineFingerprintRule",
-    "HeapInsertionEverywhereRule",
     "WorkerGlobalCaptureRule",
     "DriverThreadingRule",
 ]
@@ -131,58 +130,6 @@ class MachineFingerprintRule(Rule):
                     f"reads {{{', '.join(sorted(read))}}} but drops "
                     f"{{{missing}}}; machines differing only in a dropped "
                     "field would collide",
-                )
-
-
-@register
-class HeapInsertionEverywhereRule(Rule):
-    """ENG007: event-heap insertion goes through Engine._schedule, repo-wide.
-
-    ENG006 polices ``heappush`` inside ``engine.py``; this rule extends
-    the single-insertion-point contract to *every* module.  The heap's
-    total order is the ``(timestamp, priority, seq, rank)`` key and the
-    monotone ``seq`` is owned by ``Engine._schedule`` — an experiment or
-    report heappushing into an engine's heap (or building its own event
-    heap with bare tuples) forks the ordering contract and silently
-    breaks replay determinism.
-    """
-
-    rule_id = "ENG007"
-    name = "heap-insertion-everywhere"
-    description = (
-        "heappush/heapreplace anywhere in the tree must sit inside "
-        "a _schedule helper"
-    )
-    severity = "error"
-    fix = (
-        "Route event insertion through Engine._schedule (it owns the "
-        "(timestamp, priority, seq, rank) key and the monotone seq); "
-        "for non-engine priority queues, wrap the push in a local "
-        "_schedule helper that defines a total order explicitly."
-    )
-    example = (
-        "from heapq import heappush\n"
-        "heappush(engine._event_heap, (t, 0, 0, rank))  # seq forged, replay broken\n"
-    )
-
-    _PUSH_TAILS = ("heappush", "heappushpop", "heapreplace")
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        sanctioned: set[int] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_schedule":
-                sanctioned.update(id(sub) for sub in ast.walk(node))
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or id(node) in sanctioned:
-                continue
-            name = dotted_name(node.func)
-            if name is not None and name.split(".")[-1] in self._PUSH_TAILS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{name.split('.')[-1]} outside a _schedule helper; all "
-                    "event-heap insertion must go through the one owner of "
-                    "the (timestamp, priority, seq, rank) ordering contract",
                 )
 
 

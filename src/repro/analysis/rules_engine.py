@@ -11,17 +11,15 @@ function (ENG004 bans hand-rolled ``.size`` arithmetic at ``Send`` call
 sites in the collective layers), and all fault randomness comes from the
 ``FaultPlan`` stream family (ENG005 bans any other RNG construction in
 the simulator — an ad-hoc generator would make fault schedules depend
-on call order instead of the plan), and the event-heap core keeps its
-two hot-loop disciplines (ENG006: no ``TraceEvent`` — and therefore no
-label f-string — built when tracing is off, and every heap insertion
-goes through the one ``Engine._schedule`` helper that owns the
-``(timestamp, priority, seq, rank)`` ordering contract), and the batch
+on call order instead of the plan), the engine builds no
+``TraceEvent`` — and therefore no label f-string — when tracing is off
+(ENG006), and the batch
 replay paths charge messages only through the shared
 :mod:`repro.simulator.charging` helpers (ENG008: no raw ``ts``/``tw``/
 ``th`` arithmetic or ``transfer_time``/``sender_busy_time`` calls in
 ``compile.py``/``macro.py`` — a re-derived cost expression there can
 re-associate floating point and silently break the bit-identity
-contract between the compiled, heap, and rescan schedulers).
+contract between the compiled, ready, and rescan schedulers).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ __all__ = [
     "FloatClockEqualityRule",
     "WordsOfAccountingRule",
     "FaultRngStreamRule",
-    "HeapDisciplineRule",
+    "TraceGuardRule",
     "CompiledChargingHelpersRule",
 ]
 
@@ -261,33 +259,21 @@ class FaultRngStreamRule(Rule):
 
 
 @register
-class HeapDisciplineRule(Rule):
-    """ENG006: the engine's inner loops keep the event-heap disciplines.
+class TraceGuardRule(Rule):
+    """ENG006: the engine builds no trace objects when tracing is off.
 
-    Two conventions make the heap scheduler both fast and deterministic,
-    and both are easy to regress one call site at a time:
-
-    * **No trace objects when tracing is off.**  A ``TraceEvent`` (and
-      the f-string label built at its call site) costs more than the
-      whole charge for a small message; constructing one per event with
-      tracing disabled silently erases most of the heap scheduler's win.
-      Every ``TraceEvent(...)`` in ``engine.py`` must therefore sit
-      inside an ``if`` guarded by the tracing flag (``self.trace.enabled``
-      or a hoisted ``tracing`` local).
-    * **One insertion point.**  The heap's total order is the
-      ``(timestamp, priority, seq, rank)`` key, and the monotone ``seq``
-      that makes ties deterministic is owned by ``Engine._schedule``.  A
-      ``heappush`` anywhere else can push a malformed key (or reuse a
-      sequence number) and break replay determinism, so all insertion
-      must go through that one helper.
+    A ``TraceEvent`` (and the f-string label built at its call site)
+    costs more than the whole charge for a small message; constructing
+    one per event with tracing disabled silently erases most of the
+    dynamic scheduler's speed, and it is easy to regress one call site
+    at a time.  Every ``TraceEvent(...)`` in ``engine.py`` must
+    therefore sit inside an ``if`` guarded by the tracing flag
+    (``self.trace.enabled`` or a hoisted ``tracing`` local).
     """
 
     rule_id = "ENG006"
-    name = "engine-heap-discipline"
-    description = (
-        "engine.py builds TraceEvent only under a tracing guard and "
-        "heappushes only inside Engine._schedule"
-    )
+    name = "engine-trace-guard"
+    description = "engine.py builds TraceEvent only under a tracing guard"
     path_filter = ("repro/simulator/engine.py",)
 
     #: identifiers that mark an ``if`` test as a tracing guard
@@ -303,34 +289,21 @@ class HeapDisciplineRule(Rule):
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         guarded: set[int] = set()
-        schedule_body: set[int] = set()
         for node in ast.walk(module.tree):
             if isinstance(node, ast.If) and self._is_tracing_guard(node.test):
                 guarded.update(
                     id(sub) for stmt in node.body for sub in ast.walk(stmt)
                 )
-            elif isinstance(node, ast.FunctionDef) and node.name == "_schedule":
-                schedule_body = {id(sub) for sub in ast.walk(node)}
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or id(node) in guarded:
                 continue
             name = dotted_name(node.func)
-            if name is None:
-                continue
-            tail = name.split(".")[-1]
-            if tail == "TraceEvent" and id(node) not in guarded:
+            if name is not None and name.split(".")[-1] == "TraceEvent":
                 yield self.finding(
                     module, node,
                     "TraceEvent constructed without a tracing-enabled guard; "
                     "engine inner loops must not build events (or their label "
                     "strings) when tracing is disabled",
-                )
-            elif tail == "heappush" and id(node) not in schedule_body:
-                yield self.finding(
-                    module, node,
-                    "heappush outside Engine._schedule; all event insertion "
-                    "goes through the schedule() helper so the (timestamp, "
-                    "priority, seq, rank) ordering contract holds",
                 )
 
 

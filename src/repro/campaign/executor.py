@@ -48,13 +48,12 @@ _SIGNATURES = (
 def alt_scheduler_for(scenario: Scenario) -> str:
     """The scheduler the divergence oracle cross-checks against.
 
-    Always a pair with a bit-identity contract: the reference (rescan)
-    against the heap core.  ``ready`` scenarios are checked against
-    ``heap`` (under an active fault plan ``ready`` itself degrades to
-    rescan, so the pair still spans both cores); ``compiled`` replays
-    are checked against the ``heap`` schedule they were compiled from.
+    Always a pair with a bit-identity contract: ``ready`` scenarios are
+    checked against the ``rescan`` reference, and ``rescan`` scenarios
+    against ``ready``; ``compiled`` replays are checked against the
+    ``ready`` schedule they were compiled from.
     """
-    return "rescan" if scenario.scheduler == "heap" else "heap"
+    return "rescan" if scenario.scheduler == "ready" else "ready"
 
 
 def _topology_for(kind: str, p: int) -> Topology | None:

@@ -74,11 +74,11 @@ def _machine_from_args(args) -> MachineParams:
 def _add_scheduler_arg(sub) -> None:
     sub.add_argument(
         "--scheduler", choices=SCHEDULERS, default=None,
-        help="engine scheduler (results are bit-identical; 'heap' scales "
-        "best past a few thousand ranks, 'compiled' replays rank-symmetric "
-        "programs as vectorized batch schedules and carries Cannon's blocks "
-        "to a verified product; other drivers fall back to heap when a "
-        "product is needed; see docs/performance.md)",
+        help="engine scheduler (results are bit-identical; 'ready' is the "
+        "dynamic default, 'rescan' the reference oracle, 'compiled' replays "
+        "rank-symmetric programs as vectorized batch schedules and carries "
+        "Cannon's blocks to a verified product; other drivers fall back to "
+        "ready when a product is needed; see docs/performance.md)",
     )
 
 

@@ -312,7 +312,7 @@ def simulated_prediction(
     B = rng.standard_normal((n, n))
     kw: dict[str, Any] = {} if scheduler is None else {"scheduler": scheduler}
     if scheduler == "compiled" and entry.rank_symmetric and not entry.compiled_product:
-        # a product would send the job to heap (minutes at p = 65536);
+        # a product would send the job to ready (minutes at p = 65536);
         # the compiled replay answers in seconds, timing only
         kw["product"] = False
     res = entry.run(A, B, p, machine=machine, **kw)

@@ -49,8 +49,8 @@ def run_one(
     *refine*/*max_depth*/*tol* select the adaptive region-map path for
     the figure experiments (see :mod:`repro.core.refine`).
     *p_values*/*n0*/*verify*/*scheduler* tune ``scaling-large`` (the
-    16k-rank smoke run in CI uses them; ``scheduler`` defaults to the
-    event-heap core there, see docs/performance.md).
+    16k-rank smoke run in CI uses them; ``scheduler`` defaults to
+    ``compiled`` there, see docs/performance.md).
     """
     if name == "table1":
         return table1.format_text(table1.run())
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="engine scheduler for scaling-large (default: "
                              "compiled, which carries Cannon's blocks when "
                              "verifying) and resilience (fault timelines are "
-                             "bit-identical across rescan/heap; see "
+                             "bit-identical across rescan/ready; see "
                              "docs/performance.md)")
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="directory for the persistent result cache "

@@ -98,7 +98,7 @@ def _sim_point(
     res_gk = run_gk_cm5(A, B, p_gk, machine=machine)
     # Cannon is rank-symmetric: by default compiled replay carries its
     # blocks through the batch schedule (C and timing bit-identical to the
-    # heap run); GK is not, so it runs on the process's dynamic scheduler
+    # ready run); GK is not, so it runs on the process's dynamic scheduler
     res_cn = run_cannon(
         A, B, p_cannon, machine=machine, topology=FullyConnected(p_cannon),
         scheduler=cannon_scheduler,

@@ -60,7 +60,7 @@ class ResilienceReport:
 
     scheduler: str | None
     """Engine scheduler the curves were simulated on (``None`` = engine
-    default).  The heap scheduler's exact fault regime is bit-identical
+    default).  The ready scheduler's exact fault loop is bit-identical
     to the reference, so every row is scheduler-independent — a property
     the test suite pins by diffing whole reports across schedulers."""
 
@@ -140,9 +140,9 @@ def run(
 
     *scheduler* selects the engine core (``None`` = engine default).
     Fault-active runs are bit-identical between the reference (rescan)
-    and heap schedulers, so the report's curves do not depend on it —
-    passing ``"heap"`` merely changes how the timeline is scheduled
-    internally (``"ready"`` silently falls back to rescan under a plan).
+    and ready schedulers — ``ready`` runs its exact loop under a plan —
+    so the report's curves do not depend on it; the choice only changes
+    how the timeline is scheduled internally.
     """
     A, B = _operands(n, seed)
     expected = A @ B if verify else None

@@ -21,7 +21,7 @@ resumes:
    ``peer = group[pos ^ d]`` (dimension exchange) — on one axis of the
    driver-provided :class:`SymmetrySpec`.  Any mismatch raises
    :class:`CompileFallback` and the engine transparently re-runs the
-   program on the ``heap`` scheduler.
+   program on the ``ready`` scheduler.
 3. **Lower + replay.**  The trace becomes a :class:`BatchSchedule`: a
    list of symbolic phases (:mod:`repro.simulator.request`) whose peer
    and hop fields are precomputed ``(p,)`` vectors, built once per
@@ -35,7 +35,7 @@ resumes:
    go to the cross-group batch executors in :mod:`repro.simulator.macro`
    (``run_batch_collective``).  The replay evaluates exactly the
    reference cost expressions elementwise, so a compiled run is
-   bit-identical to ``heap``/``rescan`` whenever it compiles at all.
+   bit-identical to ``ready``/``rescan`` whenever it compiles at all.
 
 What falls back (by design, not by accident):
 
@@ -68,7 +68,7 @@ return value is split back into ``returns[r]``.  The stacked body must
 not depend on the rank's own position except through its peers (it runs
 as rank 0); a request stream that stops matching the phases, a payload
 without the rank axis, or a macro collective other than ``shift``
-raises :class:`CompileFallback` and the run goes to ``heap``.  Without
+raises :class:`CompileFallback` and the run goes to ``ready``.  Without
 ``stacked`` the replay moves no payloads and ``returns`` is
 ``[None]*p`` — the timing-only mode for callers that declare they need
 no product.
@@ -116,7 +116,7 @@ _MAX_TRACE_OPS = 200_000
 
 
 class CompileFallback(Exception):
-    """The program cannot be trace-compiled; run it on ``heap`` instead."""
+    """The program cannot be trace-compiled; run it on ``ready`` instead."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class SymmetrySpec:
     must partition ``0..p-1``.  Peer laws are inferred per message over
     these axes.  The spec is an *assertion candidate*, not a promise:
     probe recording verifies it structurally and the engine falls back
-    to ``heap`` when the program turns out not to be rank-symmetric.
+    to ``ready`` when the program turns out not to be rank-symmetric.
 
     *extra_probes* optionally adds ranks to the probe set (the default
     probes are the first/second/last members of each axis's first group,
@@ -832,7 +832,7 @@ def compile_spmd(
 
     Raises :class:`CompileFallback` whenever the program turns out not
     to be compilable; the caller (the engine) re-runs the untouched
-    factories on the ``heap`` scheduler.  Probe generators are consumed
+    factories on the ``ready`` scheduler.  Probe generators are consumed
     here, but factories are re-invoked fresh on fallback, so recording
     is side-effect-free as long as programs do not mutate driver state
     before their first yield.

@@ -35,77 +35,60 @@ receiver, the simulation is *confluent*: final clocks and payloads do
 not depend on the order ranks are stepped in.  Three schedulers exploit
 that freedom differently:
 
-* ``"ready"`` (default) — event-driven.  Runnable ranks sit in a ready
-  queue; a rank blocked on ``Recv`` is parked in a wakeup map keyed by
-  its mailbox channel and revisited only when a matching message is
-  deposited, and ranks blocked on ``Barrier`` are merely counted.  Each
-  rank is touched O(#requests + #wakeups) times, and with tracing off
-  the hot loop allocates no trace events and formats no labels.
-* ``"heap"`` — the central min-heap event core for large-p runs.  All
-  pending work lives in one ``heapq`` queue of
-  ``(timestamp, priority, seq, rank)`` tuples, so every scheduling
-  decision is O(log p); same-timestamp event batches are popped
-  together and their Compute/Send/SendAll arithmetic is charged
-  vectorized against the run's :class:`RankArrays`.  Fault-active and
-  contention runs take the same heap queue but charge per request
-  through the reference helpers, so they keep the reference arithmetic
-  while escaping the rescan scheduler's O(p)-per-pass scans.
+* ``"ready"`` (default) — event-driven.  Runnable ranks sit in a FIFO
+  ready queue; a rank blocked on ``Recv`` is parked in a wakeup map
+  keyed by its mailbox channel and re-enqueued only when a matching
+  message is deposited, and ranks blocked on ``Barrier`` are merely
+  counted.  Each rank is touched O(#requests + #wakeups) times, and
+  with tracing off the hot loop allocates no trace events and formats
+  no labels.  Under an active fault plan the same queue runs an exact
+  loop that charges every request through the reference helpers, so
+  the fault timeline matches the rescan scheduler bit for bit.
 * ``"rescan"`` — the original round-robin "run until blocked" loop,
   which rescans every pending rank each pass (O(p) per pass even when
   only one rank can move).  It is retained verbatim as the reference
   implementation: the fuzz suite asserts the other schedulers produce
   bit-identical clocks, and ``benchmarks/perf_guard.py`` uses it as the
   performance baseline.
+* ``"compiled"`` — trace-compiles rank-symmetric programs into a
+  vectorized batch schedule (:mod:`repro.simulator.compile`) and falls
+  back to ``"ready"`` when the program cannot be compiled.
 
-``ready`` and ``heap`` share one macro-collective rendezvous: a rank
-that posts a :class:`~repro.simulator.request.CollectiveOp` is parked,
-a completed group stays parked, and when the scheduler runs out of
-runnable ranks every parked group is charged at once — one vectorized
-call per ``(kind, group size)`` over all concurrent groups
+``ready`` runs macro collectives through one deferred rendezvous: a
+rank that posts a :class:`~repro.simulator.request.CollectiveOp` is
+parked, a completed group stays parked, and when the queue runs dry
+every parked group is charged at once — one vectorized call per
+``(kind, group size)`` over all concurrent groups
 (:mod:`repro.simulator.macro`) — before the barrier and deadlock checks.
-
-Heap ordering contract
-----------------------
-
-The heap scheduler's event key is ``(timestamp, priority, seq, rank)``:
-time first, then the priority class (:data:`PRI_RESUME` before
-:data:`PRI_WAKE`), then a monotone sequence counter that breaks every
-remaining tie by insertion order.  ``seq`` is unique, so ``rank`` never
-decides a comparison — it rides along for debuggability.  Every
-insertion goes through the single :meth:`Engine._schedule` helper
-(rule ENG006 enforces this), and no dict or set iteration ever picks
-the next event, so event order — and therefore the trace, the fault
-timeline, and every clock — is identical run to run regardless of hash
-seeds.  The property suite in ``tests/test_heap_scheduler.py`` pins
-this contract.
 
 Scheduler selection
 -------------------
 
-``link_contention`` mode uses the rescan scheduler unless ``"heap"``
-was selected: link reservations are granted in deterministic scheduler
-order, so the reference order is part of that mode's contract, and the
-heap scheduler's heap order is part of *its* contract (the two agree
-whenever routes do not conflict, e.g. single-hop traffic).  An active
-``fault_plan`` (:mod:`repro.simulator.faults`) resolves the same way —
-the recovery timeline is pure per-rank/per-channel arithmetic, so heap
+``link_contention`` mode always runs the rescan scheduler: link
+reservations are granted in scheduler order, so the reference order is
+part of that mode's contract.  An active ``fault_plan``
+(:mod:`repro.simulator.faults`) runs on the ready queue's exact loop —
+the recovery timeline is pure per-rank/per-channel arithmetic, so ready
 and rescan runs are bit-identical — and always disables the macro
 collective fast path; a plan whose rates are all zero still takes the
 fault path but is bit-identical to running with no plan at all (the
-fuzz suite pins this).
+fuzz suite pins this).  :attr:`SimResult.scheduler` records which
+scheduler actually ran.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
 import numpy as np
 
 from repro.core.machine import MachineParams
-from repro.simulator.charging import message_times
+# bound here only so that profilers which patch the engine's charging
+# and compile entry points (perfbench/tracing.py) find every name they
+# wrap; the dynamic loops charge messages through scalar arithmetic
+from repro.simulator.charging import message_times  # noqa: F401
 from repro.simulator.compile import CompileFallback, SymmetrySpec, compile_spmd
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.faults import CompiledFaults, FaultPlan
@@ -121,7 +104,7 @@ from repro.simulator.request import (
     Send,
     SendAll,
 )
-from repro.simulator.topology import PairHopCache, Topology
+from repro.simulator.topology import Topology
 from repro.simulator.trace import RankArrays, RankStats, Trace, TraceEvent
 
 __all__ = [
@@ -132,30 +115,14 @@ __all__ = [
     "DEFAULT_SCHEDULER",
     "DEFAULT_MACRO_COLLECTIVES",
     "SCHEDULERS",
-    "PRI_RESUME",
-    "PRI_WAKE",
     "SymmetrySpec",
 ]
 
 #: Known scheduling strategies (see the module docstring).  ``"compiled"``
 #: trace-compiles rank-symmetric programs into a vectorized batch
 #: schedule (:mod:`repro.simulator.compile`) and transparently falls
-#: back to ``"heap"`` when the program cannot be compiled.
-SCHEDULERS: tuple[str, ...] = ("ready", "rescan", "heap", "compiled")
-
-#: Heap-event priority classes (second field of the ordering key
-#: ``(timestamp, priority, seq, rank)``): a rank resuming at its own
-#: clock sorts before a rank woken by a message deposit at the same
-#: instant.  Both outcomes are confluent; the split exists so ties
-#: break by event class before insertion order.
-PRI_RESUME: int = 0
-PRI_WAKE: int = 1
-
-#: Below this many same-kind requests in a heap batch, the scalar
-#: charge path is used — numpy setup costs more than it saves.  Both
-#: paths evaluate the identical expressions, so the threshold never
-#: affects results.
-_VEC_MIN: int = 8
+#: back to ``"ready"`` when the program cannot be compiled.
+SCHEDULERS: tuple[str, ...] = ("ready", "rescan", "compiled")
 
 #: Process-wide default used when ``Engine(scheduler=None)``.  Benchmarks
 #: flip this to ``"rescan"`` to time the seed scheduler without plumbing
@@ -181,8 +148,8 @@ class RankInfo:
     """Whether the engine accepts :class:`CollectiveOp` macro requests
     this run.  The collective helpers consult this to pick between one
     closed-form vectorized update and the message-level reference path;
-    it is only set when tracing and link contention are off and the
-    event-driven scheduler is active."""
+    it is only set when tracing, link contention, and faults are off and
+    the ready (or compiled) scheduler runs."""
 
 
 Program = Generator[Request, Any, Any]
@@ -207,6 +174,12 @@ class SimResult:
 
     nprocs: int = 0
 
+    scheduler: str = "ready"
+    """The scheduler that actually ran: ``"ready"``, ``"rescan"`` or
+    ``"compiled"``.  It differs from the requested one when link
+    contention forces ``rescan`` or a compiled request falls back to
+    ``ready``."""
+
     # -- fault-model accounting (zero unless a FaultPlan injected something) --------
 
     retransmits: int = 0
@@ -227,12 +200,12 @@ class SimResult:
     compiled: bool = False
     """True when the run was trace-compiled and replayed as a batch
     schedule; clocks, stats, and message/word counts are bit-identical
-    to the ``heap`` scheduler.  ``returns`` holds every rank's return
+    to the ``ready`` scheduler.  ``returns`` holds every rank's return
     value when the :class:`SymmetrySpec` carries them (its ``stacked``
     program) and is all ``None`` for a timing-only replay."""
 
     compile_fallback: str | None = None
-    """Why a ``scheduler="compiled"`` request fell back to ``heap``
+    """Why a ``scheduler="compiled"`` request fell back to ``ready``
     (``None`` when it compiled, or when compilation was never asked for)."""
 
     arrays: "RankArrays | None" = field(default=None, repr=False)
@@ -345,25 +318,17 @@ class Engine:
         self.scheduler = scheduler
         #: ``None`` defers to :data:`DEFAULT_MACRO_COLLECTIVES`; the flag
         #: is only honored when tracing, link contention, and faults are
-        #: off and the ready or heap scheduler runs (the reference paths
-        #: stay exact).
+        #: off and the ready or compiled scheduler runs (the reference
+        #: paths stay exact).
         self.macro_collectives = macro_collectives
-        #: deterministic fault schedule; when set, the run uses the
-        #: reference scheduler unless ``"heap"`` was selected (the heap
-        #: core charges faults through the reference helpers), and
-        #: macro collectives are disabled either way.
+        #: deterministic fault schedule; when set, the ready scheduler
+        #: runs its exact loop (every request charged through the
+        #: reference helpers) and macro collectives are disabled.
         self.fault_plan = fault_plan
         #: rank-symmetry annotation consumed by ``scheduler="compiled"``;
-        #: without one, a compiled request falls straight back to heap.
+        #: without one, a compiled request falls straight back to ready.
         self.symmetry = symmetry
         self._faults: CompiledFaults | None = None
-        # the heap scheduler's event queue of (timestamp, priority, seq,
-        # rank) tuples plus its monotone tie-break counter; every
-        # insertion goes through _schedule (ENG006)
-        self._event_heap: list[tuple[float, int, int, int]] = []
-        self._event_seq = 0
-        # mailbox key -> rank parked on that channel (heap scheduler)
-        self._waiting: dict[tuple[int, int, int], int] = {}
         # mailboxes[(src, dst, tag)] -> FIFO of (arrival_time, payload, nwords)
         self._mail: dict[tuple[int, int, int], deque[tuple[float, Any, int]]] = {}
         # (src, dst) -> hop count, filled lazily (repeated pairs dominate)
@@ -395,15 +360,16 @@ class Engine:
                 raise ValueError(f"need {p} programs, got {len(factories)}")
 
         scheduler = self.scheduler or DEFAULT_SCHEDULER
+        if scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}")
         compile_fallback: str | None = None
         if scheduler == "compiled":
             compile_fallback = self._compiled_blocker()
             if compile_fallback is not None:
-                scheduler = "heap"
-        if (self.link_contention or self.fault_plan is not None) and scheduler != "heap":
-            # reservation/recovery order is defined by the reference
-            # scheduler; the heap core handles both natively through the
-            # reference helpers (see the module docstring)
+                scheduler = "ready"
+        if self.link_contention:
+            # reservation order is defined by the reference scheduler
+            # (see the module docstring)
             scheduler = "rescan"
         macro = (
             self.macro_collectives
@@ -412,9 +378,8 @@ class Engine:
         )
         macro_ok = (
             macro
-            and scheduler in ("ready", "heap", "compiled")
+            and scheduler != "rescan"  # also excludes link contention
             and not self.trace.enabled
-            and not self.link_contention
             and self.fault_plan is None
         )
         self._faults = (
@@ -453,7 +418,7 @@ class Engine:
                 # probe generators were consumed, but factories are
                 # re-invoked fresh below — recording left no other state
                 compile_fallback = str(exc)
-                scheduler = "heap"
+                scheduler = "ready"
             else:
                 return SimResult(
                     parallel_time=float(arr.clock.max()) if p else 0.0,
@@ -461,6 +426,7 @@ class Engine:
                     returns=[None] * p if returns is None else returns,
                     trace=self.trace,
                     nprocs=p,
+                    scheduler=scheduler,
                     compiled=True,
                     arrays=arr,
                 )
@@ -487,17 +453,14 @@ class Engine:
         self._dist.clear()
         self._pending_collectives.clear()
         self._completed_collectives.clear()
-        self._event_heap = []
-        self._event_seq = 0
-        self._waiting.clear()
         self.links = LinkReservations() if self.link_contention else None
 
-        if scheduler == "ready":
-            self._run_ready(states)
-        elif scheduler == "heap":
-            self._run_heap(states)
-        else:
+        if scheduler == "rescan":
             self._run_rescan(states)
+        elif self._faults is not None:
+            self._run_ready_exact(states)
+        else:
+            self._run_ready(states)
 
         t_p = float(arr.clock.max()) if p else 0.0
         result = SimResult(
@@ -506,6 +469,7 @@ class Engine:
             returns=[s.retval for s in states],
             trace=self.trace,
             nprocs=p,
+            scheduler=scheduler,
             compile_fallback=compile_fallback,
             arrays=arr,
         )
@@ -551,16 +515,7 @@ class Engine:
             if pending and self._try_release_barrier(states):
                 progressed = True
             if pending and not progressed:
-                raise DeadlockError(
-                    {
-                        r: repr(states[r].blocked_on)
-                        for r in sorted(pending)
-                        if states[r].blocked_on is not None
-                    },
-                    fault_history=(
-                        self._faults.history if self._faults is not None else None
-                    ),
-                )
+                raise self._deadlock(states)
 
     def _run_ready(self, states: list[_RankState]) -> None:
         """Event-driven fast path: ready queue + per-channel wakeup map.
@@ -702,8 +657,8 @@ class Engine:
                         barrier_blocked += 1
                         break
                     elif cls is Checkpoint:
-                        # free without a fault plan, and a plan never runs
-                        # under this scheduler (run() forces rescan)
+                        # free without a fault plan (a plan runs
+                        # _run_ready_exact instead)
                         pass
                     elif cls is CollectiveOp:
                         st.blocked_on = req
@@ -723,493 +678,30 @@ class Engine:
                 barrier_blocked = 0
                 ready.extend(r for r, s in enumerate(states) if not s.done)
             else:
-                raise DeadlockError(
-                    {
-                        r: repr(states[r].blocked_on)
-                        for r in range(len(states))
-                        if not states[r].done and states[r].blocked_on is not None
-                    }
-                )
+                raise self._deadlock(states)
 
-    def _schedule(self, when: float, priority: int, rank: int) -> None:
-        """Insert an event into the heap queue — the only insertion point.
+    def _run_ready_exact(self, states: list[_RankState]) -> None:
+        """The ready queue with reference charging, for fault plans.
 
-        Events are keyed ``(timestamp, priority, seq, rank)`` where
-        ``seq`` is a monotone counter: ties break by priority class,
-        then strictly by insertion order, so no dict or set iteration
-        ever decides which rank runs next and event order is identical
-        run to run regardless of hash seeds.  ``seq`` is unique, so the
-        trailing ``rank`` never settles a comparison; it is part of the
-        key for debuggability.  Rule ENG006 enforces that every
-        ``heappush`` in this module goes through this helper.
-        """
-        self._event_seq = seq = self._event_seq + 1
-        heappush(self._event_heap, (when, priority, seq, rank))
-
-    def _run_heap(self, states: list[_RankState]) -> None:
-        """Central min-heap event core: O(log p) scheduling decisions.
-
-        Plain runs take the batched fast loop; fault-active and
-        link-contention runs keep heap scheduling but charge each
-        request through the reference helpers so the fault timeline
-        stays bit-identical to the rescan scheduler.
-        """
-        for r in range(len(states)):
-            self._schedule(0.0, PRI_RESUME, r)
-        if self._faults is not None or self.links is not None:
-            self._run_heap_exact(states)
-        else:
-            self._run_heap_fast(states)
-
-    def _run_heap_fast(self, states: list[_RankState]) -> None:
-        """Heap scheduling with batched charging (no faults/contention).
-
-        Same-timestamp events are popped as one batch; each rank's
-        generator is resumed once (receives whose message is already in
-        the mailbox complete inline), and the batch's Compute/Send/
-        SendAll requests are charged against the :class:`RankArrays` in
-        one vectorized shot per request kind.  Every expression matches
-        the reference scheduler's scalar arithmetic — numpy float64
-        elementwise ops round exactly like the equivalent Python float
-        ops — so clocks stay bit-identical (the fuzz suite pins this).
-        """
-        machine = self.machine
-        ts, tw, th = machine.ts, machine.tw, machine.th
-        cut_through = machine.routing == "ct"
-        all_port = machine.all_port
-        topo = self.topology
-        size = topo.size
-        hop_cache = PairHopCache.shared(topo)
-        hop = hop_cache.hop
-        mail = self._mail
-        tracing = self.trace.enabled
-        record = self.trace.record
-
-        arr = self._arr
-        assert arr is not None  # set by run() before any scheduler body
-        clk_arr = arr.clock
-        comp_arr = arr.compute_time
-        sendt_arr = arr.send_time
-        rwait_arr = arr.recv_wait_time
-        msgs_arr = arr.messages_sent
-        words_arr = arr.words_sent
-
-        heap = self._event_heap
-        schedule = self._schedule
-        waiting = self._waiting
-        barrier_blocked = 0
-        active = len(states)
-
-        while active:
-            while heap:
-                now = heap[0][0]
-                batch: list[tuple[float, int, int, int]] = []
-                # equal-timestamp detection by ordering comparison: the
-                # root can only be <= the minimum just popped if it ties
-                while heap and heap[0][0] <= now:
-                    batch.append(heappop(heap))
-                comp_items: list[tuple[int, float, Compute]] = []
-                send_items: list[tuple[int, float, Send]] = []
-                sendall_items: list[tuple[int, float, SendAll]] = []
-                for _t, _pri, _seq, r in batch:
-                    st = states[r]
-                    clock = clk_arr.item(r)
-                    value = None
-                    blocked = st.blocked_on
-                    if blocked is not None:
-                        if blocked.__class__ is CollectiveOp:
-                            # resumed by a completed macro collective: the
-                            # executor already advanced clock and accounts
-                            value = st.send_value
-                            st.send_value = None
-                            st.blocked_on = None
-                        else:
-                            # woken by a deposit on this channel: complete the Recv
-                            arrival, value, nwords = mail[(blocked.src, r, blocked.tag)].popleft()
-                            if tracing:
-                                end = arrival if arrival > clock else clock
-                                record(TraceEvent(r, clock, end, "recv",
-                                                  f"<-{blocked.src} {nwords}w", tag=blocked.tag))
-                            if arrival > clock:
-                                rwait_arr[r] += arrival - clock
-                                clock = arrival
-                            st.blocked_on = None
-                    gen_send = st.gen.send
-                    while True:
-                        try:
-                            req = gen_send(value)
-                        except StopIteration as stop:
-                            st.done = True
-                            st.retval = stop.value
-                            active -= 1
-                            clk_arr[r] = clock
-                            break
-                        value = None
-                        cls = req.__class__
-                        if cls is Recv:
-                            key = (req.src, r, req.tag)
-                            q = mail.get(key)
-                            if q:
-                                arrival, value, nwords = q.popleft()
-                                if tracing:
-                                    end = arrival if arrival > clock else clock
-                                    record(TraceEvent(r, clock, end, "recv",
-                                                      f"<-{req.src} {nwords}w", tag=req.tag))
-                                if arrival > clock:
-                                    rwait_arr[r] += arrival - clock
-                                    clock = arrival
-                                continue
-                            st.blocked_on = req
-                            waiting[key] = r
-                            clk_arr[r] = clock
-                            break
-                        if cls is Send:
-                            if not 0 <= req.dst < size:
-                                raise ProgramError(
-                                    f"rank {r} sent to invalid rank {req.dst}"
-                                )
-                            send_items.append((r, clock, req))
-                            clk_arr[r] = clock
-                            break
-                        if cls is SendAll:
-                            if not req.messages:
-                                continue
-                            for m in req.messages:
-                                if not 0 <= m.dst < size:
-                                    raise ProgramError(
-                                        f"rank {r} sent to invalid rank {m.dst}"
-                                    )
-                            sendall_items.append((r, clock, req))
-                            clk_arr[r] = clock
-                            break
-                        if cls is Compute:
-                            comp_items.append((r, clock, req))
-                            clk_arr[r] = clock
-                            break
-                        if cls is Barrier:
-                            st.blocked_on = req
-                            barrier_blocked += 1
-                            clk_arr[r] = clock
-                            break
-                        if cls is Checkpoint:
-                            # free without a fault plan (this loop never
-                            # runs with one)
-                            continue
-                        if cls is CollectiveOp:
-                            st.blocked_on = req
-                            clk_arr[r] = clock
-                            self._post_collective(r, req, size)
-                            break
-                        raise ProgramError(
-                            f"rank {r} yielded unsupported request {req!r}"
-                        )
-                    st.send_value = None
-
-                # ---- batched charging (one vectorized shot per kind) ----
-                if comp_items:
-                    if len(comp_items) < _VEC_MIN:
-                        for r, clock, creq in comp_items:
-                            cost = creq.cost
-                            if tracing:
-                                record(TraceEvent(r, clock, clock + cost,
-                                                  "compute", creq.label))
-                            comp_arr[r] += cost
-                            end = clock + cost
-                            clk_arr[r] = end
-                            schedule(end, PRI_RESUME, r)
-                    else:
-                        n = len(comp_items)
-                        idx = np.fromiter((it[0] for it in comp_items),
-                                          dtype=np.intp, count=n)
-                        starts = np.fromiter((it[1] for it in comp_items),
-                                             dtype=np.float64, count=n)
-                        costs = np.fromiter((it[2].cost for it in comp_items),
-                                            dtype=np.float64, count=n)
-                        ends = starts + costs
-                        comp_arr[idx] += costs
-                        clk_arr[idx] = ends
-                        end_list = ends.tolist()
-                        for i, (r, clock, creq) in enumerate(comp_items):
-                            if tracing:
-                                record(TraceEvent(r, clock, end_list[i],
-                                                  "compute", creq.label))
-                            schedule(end_list[i], PRI_RESUME, r)
-                if send_items:
-                    if len(send_items) < _VEC_MIN:
-                        for r, clock, sreq in send_items:
-                            dst = sreq.dst
-                            hops = hop(r, dst)
-                            nwords = sreq.nwords
-                            # same expressions as MachineParams.transfer_time
-                            # / sender_busy_time, hoisted out of the calls
-                            if cut_through:
-                                duration = ts + tw * nwords + th * hops
-                            else:
-                                duration = ts + (tw * nwords + th) * hops
-                            busy = ts + tw * nwords
-                            arrival = clock + duration
-                            key = (r, dst, sreq.tag)
-                            q = mail.get(key)
-                            if q is None:
-                                q = mail[key] = deque()
-                            q.append((arrival, sreq.data, nwords))
-                            msgs_arr[r] += 1
-                            words_arr[r] += nwords
-                            sendt_arr[r] += busy
-                            end = clock + busy
-                            if tracing:
-                                record(TraceEvent(r, clock, end, "send",
-                                                  f"->{dst} {nwords}w", tag=sreq.tag))
-                            clk_arr[r] = end
-                            schedule(end, PRI_RESUME, r)
-                            if waiting:
-                                woken = waiting.pop(key, None)
-                                if woken is not None:
-                                    c2 = clk_arr.item(woken)
-                                    schedule(arrival if arrival > c2 else c2,
-                                             PRI_WAKE, woken)
-                    else:
-                        n = len(send_items)
-                        idx = np.fromiter((it[0] for it in send_items),
-                                          dtype=np.intp, count=n)
-                        starts = np.fromiter((it[1] for it in send_items),
-                                             dtype=np.float64, count=n)
-                        dsts = np.fromiter((it[2].dst for it in send_items),
-                                           dtype=np.int64, count=n)
-                        nws = np.fromiter((it[2].nwords for it in send_items),
-                                          dtype=np.int64, count=n)
-                        hops_a = hop_cache.bulk(idx.astype(np.int64), dsts)
-                        nws_f = nws.astype(np.float64)
-                        busys, arrivals = message_times(
-                            self.machine, starts, nws_f, hops_a
-                        )
-                        ends = starts + busys
-                        msgs_arr[idx] += 1
-                        words_arr[idx] += nws
-                        sendt_arr[idx] += busys
-                        clk_arr[idx] = ends
-                        arrival_list = arrivals.tolist()
-                        end_list = ends.tolist()
-                        for i, (r, clock, sreq) in enumerate(send_items):
-                            arrival = arrival_list[i]
-                            key = (r, sreq.dst, sreq.tag)
-                            q = mail.get(key)
-                            if q is None:
-                                q = mail[key] = deque()
-                            q.append((arrival, sreq.data, sreq.nwords))
-                            if tracing:
-                                record(TraceEvent(r, clock, end_list[i], "send",
-                                                  f"->{sreq.dst} {sreq.nwords}w",
-                                                  tag=sreq.tag))
-                            schedule(end_list[i], PRI_RESUME, r)
-                            if waiting:
-                                woken = waiting.pop(key, None)
-                                if woken is not None:
-                                    c2 = clk_arr.item(woken)
-                                    schedule(arrival if arrival > c2 else c2,
-                                             PRI_WAKE, woken)
-                if sendall_items:
-                    k = len(sendall_items[0][2].messages)
-                    if (
-                        all_port
-                        and len(sendall_items) * k >= _VEC_MIN
-                        and all(len(it[2].messages) == k for it in sendall_items)
-                    ):
-                        self._charge_sendall_batch(sendall_items, k, hop_cache)
-                    else:
-                        for r, clock, areq in sendall_items:
-                            if all_port:
-                                # all ports drive simultaneously; sender busy
-                                # for the slowest port
-                                start = clock
-                                busy = 0.0
-                                for m in areq.messages:
-                                    dst = m.dst
-                                    hops = hop(r, dst)
-                                    nwords = m.nwords
-                                    if cut_through:
-                                        duration = ts + tw * nwords + th * hops
-                                    else:
-                                        duration = ts + (tw * nwords + th) * hops
-                                    b = ts + tw * nwords
-                                    if b > busy:
-                                        busy = b
-                                    arrival = start + duration
-                                    key = (r, dst, m.tag)
-                                    q = mail.get(key)
-                                    if q is None:
-                                        q = mail[key] = deque()
-                                    q.append((arrival, m.data, nwords))
-                                    msgs_arr[r] += 1
-                                    words_arr[r] += nwords
-                                    if waiting:
-                                        woken = waiting.pop(key, None)
-                                        if woken is not None:
-                                            c2 = clk_arr.item(woken)
-                                            schedule(
-                                                arrival if arrival > c2 else c2,
-                                                PRI_WAKE, woken,
-                                            )
-                                sendt_arr[r] += busy
-                                end = start + busy
-                                clk_arr[r] = end
-                                if tracing:
-                                    record(TraceEvent(r, start, end, "send",
-                                                      f"all-port x{len(areq.messages)}"))
-                                schedule(end, PRI_RESUME, r)
-                            else:
-                                # one-port: injections serialize in order
-                                for m in areq.messages:
-                                    dst = m.dst
-                                    hops = hop(r, dst)
-                                    nwords = m.nwords
-                                    if cut_through:
-                                        duration = ts + tw * nwords + th * hops
-                                    else:
-                                        duration = ts + (tw * nwords + th) * hops
-                                    busy = ts + tw * nwords
-                                    arrival = clock + duration
-                                    key = (r, dst, m.tag)
-                                    q = mail.get(key)
-                                    if q is None:
-                                        q = mail[key] = deque()
-                                    q.append((arrival, m.data, nwords))
-                                    msgs_arr[r] += 1
-                                    words_arr[r] += nwords
-                                    sendt_arr[r] += busy
-                                    end = clock + busy
-                                    if tracing:
-                                        record(TraceEvent(r, clock, end, "send",
-                                                          f"->{dst} {nwords}w",
-                                                          tag=m.tag))
-                                    clock = end
-                                    if waiting:
-                                        woken = waiting.pop(key, None)
-                                        if woken is not None:
-                                            c2 = clk_arr.item(woken)
-                                            schedule(
-                                                arrival if arrival > c2 else c2,
-                                                PRI_WAKE, woken,
-                                            )
-                                clk_arr[r] = clock
-                                schedule(clock, PRI_RESUME, r)
-            if self._completed_collectives:
-                for member in self._flush_collectives(states):
-                    schedule(clk_arr.item(member), PRI_RESUME, member)
-                continue
-            if not active:
-                return
-            if barrier_blocked == active:
-                self._release_barrier_ready(states)
-                barrier_blocked = 0
-                for r, s in enumerate(states):
-                    if not s.done:
-                        schedule(clk_arr.item(r), PRI_RESUME, r)
-            else:
-                raise DeadlockError(
-                    {
-                        r: repr(states[r].blocked_on)
-                        for r in range(len(states))
-                        if not states[r].done and states[r].blocked_on is not None
-                    }
-                )
-
-    def _charge_sendall_batch(
-        self,
-        sendall_items: list[tuple[int, float, SendAll]],
-        k: int,
-        hop_cache: PairHopCache,
-    ) -> None:
-        """Vectorized all-port SendAll charge for a uniform heap batch.
-
-        Every rank in the batch fans out *k* messages on an all-port
-        machine, so per-message durations and arrivals flatten to one
-        ``(batch, k)`` array computation; the per-rank busy time is the
-        row maximum (exact — no float re-association) and deposits/
-        wakeups walk the messages in the same order as the scalar path.
-        """
-        machine = self.machine
-        mail = self._mail
-        waiting = self._waiting
-        tracing = self.trace.enabled
-        record = self.trace.record
-        schedule = self._schedule
-        arr = self._arr
-        assert arr is not None  # set by run() before any scheduler body
-        clk_arr = arr.clock
-
-        nb = len(sendall_items)
-        idx = np.fromiter((it[0] for it in sendall_items), dtype=np.intp, count=nb)
-        starts = np.fromiter((it[1] for it in sendall_items), dtype=np.float64, count=nb)
-        flat_dst = np.fromiter(
-            (m.dst for it in sendall_items for m in it[2].messages),
-            dtype=np.int64, count=nb * k,
-        )
-        flat_nw = np.fromiter(
-            (m.nwords for it in sendall_items for m in it[2].messages),
-            dtype=np.int64, count=nb * k,
-        )
-        flat_src = np.repeat(idx.astype(np.int64), k)
-        hops_a = hop_cache.bulk(flat_src, flat_dst)
-        nws_f = flat_nw.astype(np.float64)
-        busy_m, arrivals = message_times(
-            machine, np.repeat(starts, k), nws_f, hops_a
-        )
-        busy_rank = busy_m.reshape(nb, k).max(axis=1)
-        ends = starts + busy_rank
-        arr.messages_sent[idx] += k
-        arr.words_sent[idx] += flat_nw.reshape(nb, k).sum(axis=1)
-        arr.send_time[idx] += busy_rank
-        clk_arr[idx] = ends
-        arrival_list = arrivals.tolist()
-        end_list = ends.tolist()
-        i = 0
-        for b, (r, start, areq) in enumerate(sendall_items):
-            for m in areq.messages:
-                arrival = arrival_list[i]
-                i += 1
-                key = (r, m.dst, m.tag)
-                q = mail.get(key)
-                if q is None:
-                    q = mail[key] = deque()
-                q.append((arrival, m.data, m.nwords))
-                if waiting:
-                    woken = waiting.pop(key, None)
-                    if woken is not None:
-                        c2 = clk_arr.item(woken)
-                        schedule(arrival if arrival > c2 else c2, PRI_WAKE, woken)
-            if tracing:
-                record(TraceEvent(r, start, end_list[b], "send", f"all-port x{k}"))
-            schedule(end_list[b], PRI_RESUME, r)
-
-    def _run_heap_exact(self, states: list[_RankState]) -> None:
-        """Heap scheduling with reference charging (faults/contention).
-
-        Each popped rank runs until it blocks, charging every request
+        Each dequeued rank runs until it blocks, charging every request
         through the same scalar helpers as the rescan scheduler
         (``_dispatch``/``_do_send``/``_complete_recv``), so the fault
         timeline — crash windows, degraded links, drop/retransmit
-        streams — is bit-identical to the reference while scheduling
-        stays O(log p) instead of O(p) per pass.  Link-reservation
-        grants follow heap event order, which matches the reference
-        whenever routes do not conflict (single-hop traffic; see the
-        module docstring).
+        streams — is bit-identical to the reference while each rank is
+        touched only when it can move instead of once per O(p) pass.
         """
-        assert self._arr is not None  # set by run() before any scheduler body
-        clk_arr = self._arr.clock
-        heap = self._event_heap
-        schedule = self._schedule
-        waiting = self._waiting
+        ready = deque(range(len(states)))
+        waiting: dict[tuple[int, int, int], int] = {}  # mailbox key -> parked rank
         barrier_blocked = 0
         active = len(states)
         while active:
-            while heap:
-                _t, _pri, _seq, r = heappop(heap)
+            while ready:
+                r = ready.popleft()
                 st = states[r]
                 value = None
                 blocked = st.blocked_on
                 if blocked is not None:
-                    # only Recv parks with a scheduled wake in this regime
+                    # only Recv parks with a pending wake in this loop
                     value = self._complete_recv(st, blocked, r)
                     st.blocked_on = None
                 gen_send = st.gen.send
@@ -1227,10 +719,14 @@ class Engine:
                     if blocked is None:
                         cls = req.__class__
                         if cls is Send:
-                            self._maybe_wake(r, req.dst, req.tag)
+                            woken = waiting.pop((r, req.dst, req.tag), None)
+                            if woken is not None:
+                                ready.append(woken)
                         elif cls is SendAll:
                             for m in req.messages:
-                                self._maybe_wake(r, m.dst, m.tag)
+                                woken = waiting.pop((r, m.dst, m.tag), None)
+                                if woken is not None:
+                                    ready.append(woken)
                         continue
                     if blocked.__class__ is Barrier:
                         barrier_blocked += 1
@@ -1245,29 +741,20 @@ class Engine:
                 return
             if barrier_blocked == active and self._try_release_barrier(states):
                 barrier_blocked = 0
-                for r2, s in enumerate(states):
-                    if not s.done:
-                        schedule(clk_arr.item(r2), PRI_RESUME, r2)
+                ready.extend(r for r, s in enumerate(states) if not s.done)
             else:
-                raise DeadlockError(
-                    {
-                        r2: repr(states[r2].blocked_on)
-                        for r2 in range(len(states))
-                        if not states[r2].done and states[r2].blocked_on is not None
-                    },
-                    fault_history=(
-                        self._faults.history if self._faults is not None else None
-                    ),
-                )
+                raise self._deadlock(states)
 
-    def _maybe_wake(self, src: int, dst: int, tag: int) -> None:
-        """Schedule a wake for a rank parked on the just-fed channel."""
-        key = (src, dst, tag)
-        woken = self._waiting.pop(key, None)
-        if woken is not None:
-            arrival = self._mail[key][0][0]
-            c2 = self._arr.clock.item(woken)
-            self._schedule(arrival if arrival > c2 else c2, PRI_WAKE, woken)
+    def _deadlock(self, states: list[_RankState]) -> DeadlockError:
+        """The error for a run where no unfinished rank can move."""
+        return DeadlockError(
+            {
+                r: repr(s.blocked_on)
+                for r, s in enumerate(states)
+                if not s.done and s.blocked_on is not None
+            },
+            fault_history=self._faults.history if self._faults is not None else None,
+        )
 
     def _post_collective(self, r: int, req: CollectiveOp, size: int) -> None:
         """Park rank *r* on its macro collective; once every member of the
@@ -1323,7 +810,7 @@ class Engine:
     def _flush_collectives(self, states: list[_RankState]) -> list[int]:
         """Execute every completed macro collective; return the members to resume.
 
-        The dynamic schedulers call this when they run out of runnable
+        The ready scheduler calls this when it runs out of runnable
         ranks, before their barrier and deadlock checks.  Parking a
         completed group until then is exact — nothing but its own
         collective writes a parked rank's clock or accounts — and lets

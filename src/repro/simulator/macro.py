@@ -409,7 +409,7 @@ def run_collective(
 #
 # Only payload-structure-independent kinds are supported: ``bcast`` and
 # ``reduce`` move and merge real payload objects, and a probe cannot
-# synthesize a root's payload, so the compiler falls back to ``heap``
+# synthesize a root's payload, so the compiler falls back to ``ready``
 # for programs that post them.  ``shift`` needs no executor here: it is
 # one fixed permutation of the machine, which the compiler routes once
 # and charges directly on the full rank arrays.

@@ -226,20 +226,20 @@ class FullyConnected(Topology):
 
 
 class PairHopCache:
-    """Precomputed hop tables for the event-heap scheduler's batches.
+    """Precomputed hop tables for vectorized message charging.
 
-    The heap scheduler charges a whole batch of same-timestamp messages
-    in one shot, so it needs routed hop counts for arrays of
-    ``(src, dst)`` pairs, clamped to at least one link exactly like the
-    scalar message path (``max(distance(src, dst), 1)``).
+    The macro-collective executors and the trace compiler charge whole
+    rank vectors of messages in one shot, so they need routed hop
+    counts for arrays of ``(src, dst)`` pairs, clamped to at least one
+    link exactly like the scalar message path
+    (``max(distance(src, dst), 1)``).
 
     The three concrete topologies answer :meth:`Topology.distances` in
     closed-form array arithmetic, so for them :meth:`bulk` is a single
     vectorized call.  A topology that only defines the scalar metric
     would fall into the base class's Python-loop fallback on every
     batch; for those the cache memoizes per-pair results instead
-    (repeated pairs dominate the lockstep exchange patterns the heap
-    scheduler targets).
+    (repeated pairs dominate lockstep exchange patterns).
     """
 
     __slots__ = ("_topology", "_vectorized", "_pairs")
@@ -263,14 +263,6 @@ class PairHopCache:
             out[i] = hops
         return out
 
-    def hop(self, a: int, b: int) -> int:
-        """Scalar routed hop count (``>= 1``), memoized per pair."""
-        pairs = self._pairs
-        hops = pairs.get((a, b))
-        if hops is None:
-            hops = pairs[(a, b)] = max(self._topology.distance(a, b), 1)
-        return hops
-
     _shared: ClassVar["weakref.WeakKeyDictionary[Topology, PairHopCache]"] = (
         weakref.WeakKeyDictionary()
     )
@@ -279,9 +271,9 @@ class PairHopCache:
     def shared(cls, topology: "Topology") -> "PairHopCache":
         """The process-wide cache for *topology* (one per topology instance).
 
-        Engines and the trace compiler route their hop lookups through
-        this accessor so memoized scalar-topology tables survive across
-        Engine instances instead of being rebuilt per run.  Entries are
+        The macro executors and the trace compiler route their hop
+        lookups through this accessor so memoized scalar-topology tables
+        survive across Engine instances instead of being rebuilt per run.  Entries are
         weakly keyed: dropping the topology drops its cache.
         """
         cache = cls._shared.get(topology)

@@ -1,11 +1,9 @@
-"""Architecture-contract rules: CACHE001, ENG007, SWEEP001, DRIVER001."""
+"""Architecture-contract rules: CACHE001, SWEEP001, DRIVER001."""
 
 from __future__ import annotations
 
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import analyze_paths, analyze_source
 
@@ -79,47 +77,6 @@ def test_display_dicts_outside_keyish_functions_are_clean():
         "src/repro/experiments/probe.py",
         select=["CACHE001"],
     ) == []
-
-
-# -- ENG007: heap-insertion discipline, repo-wide -----------------------------------
-
-
-def test_heappush_outside_schedule_fires_anywhere():
-    assert ids(
-        """
-        from heapq import heappush
-        def enqueue(heap, event):
-            heappush(heap, event)
-        """,
-        "src/repro/experiments/probe.py",
-        select=["ENG007"],
-    ) == ["ENG007"]
-
-
-def test_heappush_inside_schedule_helper_is_sanctioned():
-    assert ids(
-        """
-        from heapq import heappush
-        class Engine:
-            def _schedule(self, when, priority, rank):
-                heappush(self._event_heap, (when, priority, 0, rank))
-        """,
-        "src/repro/experiments/probe.py",
-        select=["ENG007"],
-    ) == []
-
-
-@pytest.mark.parametrize("call", ["heapq.heapreplace(h, e)", "heapq.heappushpop(h, e)"])
-def test_heap_replace_variants_fire(call):
-    assert ids(
-        f"""
-        import heapq
-        def enqueue(h, e):
-            {call}
-        """,
-        "src/repro/core/probe.py",
-        select=["ENG007"],
-    ) == ["ENG007"]
 
 
 # -- SWEEP001: worker global capture ------------------------------------------------
@@ -232,7 +189,7 @@ def test_driver_rule_scoped_to_algorithms_package():
 
 def test_contract_rules_clean_on_real_tree():
     report = analyze_paths(
-        [SRC], select=["CACHE001", "ENG007", "SWEEP001", "DRIVER001"]
+        [SRC], select=["CACHE001", "SWEEP001", "DRIVER001"]
     )
     assert report.findings == [], "\n".join(f.format() for f in report.findings)
 

@@ -57,7 +57,7 @@ def test_sarif_document_structure(tmp_path):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro.analysis"
     rule_ids = {r["id"] for r in driver["rules"]}
-    assert {"DET010", "DIM001", "CACHE001", "ENG007", "DRIVER001"} <= rule_ids
+    assert {"DET010", "DIM001", "CACHE001", "ENG006", "DRIVER001"} <= rule_ids
     # severity mapping: error->error, warn->warning, info->note
     levels = {r["id"]: r["defaultConfiguration"]["level"] for r in driver["rules"]}
     assert levels["DET010"] == "error"
@@ -117,11 +117,11 @@ def test_sarif_baseline_states(tmp_path):
     probe = _plant(tmp_path)
     baseline = {f.baseline_key for f in analyze_paths([tmp_path]).findings}
     # add a *new* finding beyond the baselined one
-    probe.write_text(TAINTED + "\nimport heapq\ndef f(h, e):\n    heapq.heappush(h, e)\n")
+    probe.write_text(TAINTED + "\nimport numpy as np\nrng = np.random.default_rng(3)\n")
     report = analyze_paths([tmp_path], baseline=baseline)
     doc = to_sarif(report, baseline_used=True)
     states = {r["ruleId"]: r["baselineState"] for r in doc["runs"][0]["results"]}
-    assert states["ENG007"] == "new"
+    assert states["ENG005"] == "new"
     assert states["DET010"] == "unchanged"
 
 
@@ -222,7 +222,7 @@ def test_every_rule_has_explain_content():
         assert (type(rule).__doc__ or "").strip(), f"{rule.rule_id} lacks a rationale"
     # the new families additionally ship fix text and an example
     for rule_id in ("DET010", "DET011", "DET012", "DIM001", "DIM002",
-                    "CACHE001", "ENG007", "SWEEP001", "DRIVER001"):
+                    "CACHE001", "SWEEP001", "DRIVER001"):
         rule = RULES[rule_id]
         assert rule.fix, f"{rule_id} lacks fix text"
         assert rule.example, f"{rule_id} lacks an example"

@@ -186,7 +186,7 @@ def test_call_graph_excludes_nested_function_bodies():
     assert "mod.target" in graph.callees("mod.outer.inner")
 
 
-def test_call_graph_over_real_tree_resolves_engine_schedule():
+def test_call_graph_over_real_tree_resolves_engine_methods():
     sources = [
         ModuleSource(p, p.read_text())
         for p in sorted((SRC / "simulator").glob("*.py"))
@@ -194,9 +194,10 @@ def test_call_graph_over_real_tree_resolves_engine_schedule():
     program = Program(sources)
     graph = build_call_graph(program)
     assert len(graph) > 100
-    # the heap scheduler family all feed the single insertion point
-    callers = graph.callers("repro.simulator.engine.Engine._schedule")
-    assert any("run_heap" in c for c in callers)
+    # both dynamic loops complete receives through the reference helper
+    callers = graph.callers("repro.simulator.engine.Engine._complete_recv")
+    assert any("_run_ready_exact" in c for c in callers)
+    assert any("_step_until_blocked" in c for c in callers)
 
 
 # -- MachineParams discovery --------------------------------------------------------

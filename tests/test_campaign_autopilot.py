@@ -57,7 +57,7 @@ class TestGeneration:
             if plan.crash_times:
                 kinds.add("crash")
         assert kinds == {"none", "drops", "stragglers", "degrade", "crash"}
-        assert {s.scheduler for s in battery} == {"ready", "rescan", "heap"}
+        assert {s.scheduler for s in battery} == {"ready", "rescan"}
         assert {s.topology for s in battery} == {"hypercube", "fully-connected"}
 
     def test_crash_scenarios_are_survivable_by_construction(self):

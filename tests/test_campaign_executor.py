@@ -85,11 +85,10 @@ class TestSignatures:
 
 class TestSchedulers:
     def test_alt_scheduler_pairs(self):
-        assert alt_scheduler_for(scenario()) == "heap"
-        assert alt_scheduler_for(scenario(scheduler="heap")) == "rescan"
-        assert alt_scheduler_for(scenario(scheduler="rescan")) == "heap"
+        assert alt_scheduler_for(scenario()) == "rescan"
+        assert alt_scheduler_for(scenario(scheduler="rescan")) == "ready"
         assert alt_scheduler_for(
-            scenario(scheduler="compiled", verify=False)) == "heap"
+            scenario(scheduler="compiled", verify=False)) == "ready"
 
     @pytest.mark.parametrize("plan", [
         FaultPlan(),
@@ -97,7 +96,7 @@ class TestSchedulers:
         FaultPlan(seed=5, straggler_rate=0.3, straggler_factor=2.0),
     ])
     def test_divergence_cross_check_is_clean(self, plan):
-        s = scenario(scheduler="heap", fault_plan=plan)
+        s = scenario(scheduler="ready", fault_plan=plan)
         rec = execute_scenario(s, OracleConfig())
         assert rec["anomalies"] == []
 

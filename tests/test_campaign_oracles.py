@@ -118,13 +118,13 @@ class TestOracles:
 
     def test_scheduler_divergence(self):
         rows = [row()]
-        same = [row(scheduler="heap")]
+        same = [row(scheduler="rescan")]
         assert check_scenario(scenario(), rows, same, OracleConfig()) == []
-        diverged = [row(scheduler="heap", T_sim=1001.0)]
+        diverged = [row(scheduler="rescan", T_sim=1001.0)]
         out = check_scenario(scenario(), rows, diverged, OracleConfig())
         assert [a["oracle"] for a in out] == ["scheduler-divergence"]
         assert "T_sim" in out[0]["message"]
-        assert out[0]["alt_scheduler"] == "heap"
+        assert out[0]["alt_scheduler"] == "rescan"
 
     def test_scheduler_divergence_on_grid_mismatch(self):
         out = check_scenario(scenario(), [row()], [], OracleConfig())

@@ -161,7 +161,7 @@ class TestFaultBattery:
                      fault_plan=FaultPlan(seed=9, drop_rate=0.1, timeout=500.0)),
             Scenario(machine=M, algorithms=("cannon",), n_values=(16,), p_values=(4,),
                      fault_plan=FaultPlan(seed=9, straggler_rate=0.5,
-                                          straggler_factor=3.0), scheduler="heap"),
+                                          straggler_factor=3.0), scheduler="rescan"),
             Scenario(machine=M, algorithms=("gk",), n_values=(16,), p_values=(8,),
                      fault_plan=FaultPlan(horizon=1e8, crash_times=((1, 100.0),),
                                           checkpoint_interval=50.0,

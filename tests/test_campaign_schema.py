@@ -41,6 +41,7 @@ class TestValidation:
             ({"p_values": (True, 4)}, "ints >= 1"),
             ({"topology": "torus"}, "unknown topology"),
             ({"scheduler": "fifo"}, "unknown scheduler"),
+            ({"scheduler": "heap"}, r"use one of \('ready', 'rescan', 'compiled'\)"),
             ({"seed": -1}, "must be an int >= 0"),
             ({"seed": 1.5}, "must be an int >= 0"),
             ({"name": 7}, "must be a string"),
@@ -79,7 +80,7 @@ class TestIdentity:
             scenario(seed=1),
             scenario(name="x"),
             scenario(verify=False),
-            scenario(scheduler="heap"),
+            scenario(scheduler="rescan"),
             scenario(topology="fully-connected"),
             scenario(n_values=(16, 32)),
             scenario(fault_plan=FaultPlan(drop_rate=0.1, timeout=500.0)),
@@ -102,7 +103,7 @@ class TestRoundTrip:
     def test_dict_round_trip_preserves_identity(self):
         s = scenario(
             fault_plan=FaultPlan(seed=3, drop_rate=0.05, timeout=400.0),
-            scheduler="heap",
+            scheduler="rescan",
             name="round-trip",
         )
         doc = json.loads(json.dumps(s.to_dict()))

@@ -221,7 +221,7 @@ class TestSchedulerChoices:
     @pytest.mark.parametrize("algorithm", ["cannon", "berntsen"])
     def test_run_compiled_scheduler_verifies_the_product(self, algorithm, capsys):
         # cannon carries its blocks through the replay; berntsen falls
-        # back to heap to produce its product — both are checked
+        # back to ready to produce its product — both are checked
         assert main(["run", algorithm, "-n", "16", "-p", "64" if algorithm == "berntsen" else "16",
                      "--scheduler", "compiled"]) == 0
         out = capsys.readouterr().out

@@ -2,10 +2,10 @@
 
 A compiled run that needs the product drives one rank-stacked copy of
 the rank program in lockstep with the lowered phases, so its ``C`` and
-rank return values must be bitwise equal to the ``heap`` run's — on the
+rank return values must be bitwise equal to the ``ready`` run's — on the
 Figure 4/5 points the paper's crossovers rest on and on every Cannon
 variant.  Where payloads cannot be carried exactly the run falls back to
-``heap`` with a reason and still returns ``C``.  At scales ``heap``
+``ready`` with a reason and still returns ``C``.  At scales ``ready``
 cannot reach, compiled Cannon's ``T_p`` is pinned to its exact
 closed form instead.
 """
@@ -44,17 +44,17 @@ def _operands(n, seed=0):
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
-def _assert_compiled_like_heap(res_c, res_h):
+def _assert_compiled_like_ready(res_c, res_d):
     assert res_c.sim.compiled, res_c.sim.compile_fallback
-    assert res_c.parallel_time == res_h.parallel_time
-    assert res_c.sim.total_messages == res_h.sim.total_messages
-    assert res_c.sim.total_words == res_h.sim.total_words
-    assert np.array_equal(res_c.C, res_h.C)
-    assert_same_returns(res_c.sim.returns, res_h.sim.returns)
+    assert res_c.parallel_time == res_d.parallel_time
+    assert res_c.sim.total_messages == res_d.sim.total_messages
+    assert res_c.sim.total_words == res_d.sim.total_words
+    assert np.array_equal(res_c.C, res_d.C)
+    assert_same_returns(res_c.sim.returns, res_d.sim.returns)
 
 
 # ---------------------------------------------------------------------------
-# differential: compiled C and returns == heap's
+# differential: compiled C and returns == ready's
 # ---------------------------------------------------------------------------
 
 FIG45_CANNON_POINTS = [(n, 64) for n in _FIG4_SIZES] + [(n, 484) for n in _FIG5_SIZES]
@@ -65,36 +65,36 @@ def test_fig45_has_23_cannon_points():
 
 
 @pytest.mark.parametrize("n,p", FIG45_CANNON_POINTS)
-def test_fig45_cannon_points_compiled_equal_heap(n, p):
+def test_fig45_cannon_points_compiled_equal_ready(n, p):
     A, B = _operands(n, seed=7)
     kw = dict(machine=CM5, topology=FullyConnected(p))
     res_c = run_cannon(A, B, p, scheduler="compiled", **kw)
-    res_h = run_cannon(A, B, p, scheduler="heap", **kw)
-    _assert_compiled_like_heap(res_c, res_h)
+    res_d = run_cannon(A, B, p, scheduler="ready", **kw)
+    _assert_compiled_like_ready(res_c, res_d)
     np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("all_port", [False, True], ids=["one-port", "all-port"])
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial-shifts", "overlap-shifts"])
-def test_cannon_variants_compiled_equal_heap(overlap, all_port, macro, monkeypatch):
+def test_cannon_variants_compiled_equal_ready(overlap, all_port, macro, monkeypatch):
     monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
     machine = MachineParams(ts=30.0, tw=2.0, th=1.0, all_port=all_port, name="m")
     for key, n, p in [("cannon", 16, 16), ("cannon", 32, 64)]:
         A, B = _operands(n)
         kw = dict(machine=machine, overlap_shifts=overlap)
         res_c = run_cannon(A, B, p, scheduler="compiled", **kw)
-        res_h = run_cannon(A, B, p, scheduler="heap", **kw)
-        _assert_compiled_like_heap(res_c, res_h)
+        res_d = run_cannon(A, B, p, scheduler="ready", **kw)
+        _assert_compiled_like_ready(res_c, res_d)
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "compiled"])
+@pytest.mark.parametrize("scheduler", ["ready", "compiled"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
 def test_product_false_is_timing_only_on_every_driver(key, n, p, scheduler):
     A, B = _operands(n)
     timing = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler,
                           product=False)
-    full = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler="heap")
+    full = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler="ready")
     assert timing.C is None
     assert timing.parallel_time == full.parallel_time
 
@@ -163,10 +163,10 @@ def test_stacked_ring_program_carries_payloads():
     p = 8
     blocks = np.arange(p * 4, dtype=np.float64).reshape(p, 4)
     res_c, _ = _ring_run(p, lambda info: _ring_body(0, p, blocks, ident=np.arange(p))(info))
-    res_h, _ = _ring_run(p, None, scheduler="heap")
+    res_d, _ = _ring_run(p, None, scheduler="ready")
     assert res_c.compiled, res_c.compile_fallback
-    assert res_c.parallel_time == res_h.parallel_time
-    assert_same_returns(res_c.returns, res_h.returns)
+    assert res_c.parallel_time == res_d.parallel_time
+    assert_same_returns(res_c.returns, res_d.returns)
     assert np.array_equal(res_c.returns[0][1], blocks[p - 1] * 2.0)
 
 
@@ -195,21 +195,21 @@ def test_unreplayable_stacked_program_falls_back(make_stacked, reason):
     res, _ = _ring_run(p, lambda info: make_stacked(p, blocks)(info))
     assert res.compiled is False
     assert reason in res.compile_fallback
-    # the heap fallback ran the real programs
+    # the ready fallback ran the real programs
     assert [r for r, _ in res.returns] == list(range(p))
     assert np.array_equal(res.returns[0][1], blocks[p - 1] * 2.0)
 
 
 def test_spec_without_stacked_program_is_timing_only():
     res_c, _ = _ring_run(8, None)
-    res_h, _ = _ring_run(8, None, scheduler="heap")
+    res_d, _ = _ring_run(8, None, scheduler="ready")
     assert res_c.compiled, res_c.compile_fallback
     assert res_c.returns == [None] * 8
-    assert res_c.parallel_time == res_h.parallel_time
+    assert res_c.parallel_time == res_d.parallel_time
 
 
 # ---------------------------------------------------------------------------
-# closed-form oracle where heap cannot reach
+# closed-form oracle where the dynamic scheduler cannot reach
 # ---------------------------------------------------------------------------
 
 
@@ -250,19 +250,19 @@ def test_compiled_cannon_matches_closed_form(p, overlap):
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial-shifts", "overlap-shifts"])
-def test_closed_form_matches_heap_where_heap_runs(overlap):
+def test_closed_form_matches_ready_where_ready_runs(overlap):
     """The oracle itself is checked against the dynamic scheduler."""
     p, b = 64, 3
     A, B = _operands(8 * b)
     res = run_cannon(A, B, p, machine=ORACLE_MACHINE, topology=FullyConnected(p),
-                     overlap_shifts=overlap, scheduler="heap")
+                     overlap_shifts=overlap, scheduler="ready")
     assert res.parallel_time == pytest.approx(
         cannon_one_port_time(8, b, ORACLE_MACHINE, overlap=overlap), rel=1e-12
     )
 
 
 def test_non_shift_macro_collective_payloads_fall_back(monkeypatch):
-    """Only a shift is a pure permutation; other collectives go to heap."""
+    """Only a shift is a pure permutation; other collectives go to ready."""
     p = 8
     group = list(range(p))
     blocks = np.arange(p * 2, dtype=np.float64).reshape(p, 2)
@@ -331,7 +331,7 @@ def test_message_level_schedule_shares_routing_and_frees_arrivals(monkeypatch):
     p = 1024
     A, B = _operands(64)
     res_c = run_cannon(A, B, p, scheduler="compiled", product=False)
-    res_h = run_cannon(A, B, p, scheduler="heap", product=False)
+    res_d = run_cannon(A, B, p, scheduler="ready", product=False)
     assert res_c.sim.compiled, res_c.sim.compile_fallback
     (schedule,) = schedules
     sends = [ph for ph in schedule.phases if isinstance(ph, SymSend)]
@@ -342,8 +342,8 @@ def test_message_level_schedule_shares_routing_and_frees_arrivals(monkeypatch):
     assert len({id(ph.src) for ph in recvs}) == 2
     assert not any(ph.dst.flags.writeable or ph.hops.flags.writeable for ph in sends)
     assert all(ph.arrival is None for ph in sends)
-    assert res_c.parallel_time == res_h.parallel_time
-    for s_c, s_h in zip(res_c.sim.stats, res_h.sim.stats):
+    assert res_c.parallel_time == res_d.parallel_time
+    for s_c, s_h in zip(res_c.sim.stats, res_d.sim.stats):
         assert s_c == s_h
 
 

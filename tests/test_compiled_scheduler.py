@@ -5,13 +5,13 @@ The trace compiler's contract has two halves and both are load-bearing:
 * when it engages, every observable of the run — ``T_p``, all per-rank
   accounts, message/word totals, and (when the product is requested)
   ``C`` and the rank return values — must be **bit-identical** to the
-  generator schedulers (heap and the rescan reference), because the
+  generator schedulers (ready and the rescan reference), because the
   replay path evaluates the exact same IEEE expressions via
   :mod:`repro.simulator.charging` and runs the same rank body over
   stacked blocks;
 * when the program is not provably rank-symmetric (position-dependent
   traffic, unsupported collectives, tracing/faults/contention), it must
-  fall back to the heap scheduler **silently and correctly**, recording
+  fall back to the ready scheduler **silently and correctly**, recording
   the reason in ``SimResult.compile_fallback``.
 
 Driver-level cases run all six algorithms; program-level cases poke the
@@ -89,14 +89,14 @@ def assert_same_returns(got, want):
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
-def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypatch):
+def test_compiled_matches_ready_and_rescan_on_drivers(key, n, p, macro, monkeypatch):
     """The timing-only replay (``product=False``) of every driver that
-    compiles matches heap and rescan on every per-rank account."""
+    compiles matches ready and rescan on every per-rank account."""
     monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
     res_c = _run_driver(key, n, p, "compiled", product=False)
-    res_h = _run_driver(key, n, p, "heap")
+    res_d = _run_driver(key, n, p, "ready")
     res_r = _run_driver(key, n, p, "rescan")
-    _assert_identical(res_c.sim, res_h.sim, p)
+    _assert_identical(res_c.sim, res_d.sim, p)
     _assert_identical(res_c.sim, res_r.sim, p)
     assert res_c.C is None
     if res_c.sim.compiled:
@@ -108,21 +108,21 @@ def test_compiled_matches_heap_and_rescan_on_drivers(key, n, p, macro, monkeypat
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
-def test_compiled_product_matches_heap_on_drivers(key, n, p, macro, monkeypatch):
+def test_compiled_product_matches_ready_on_drivers(key, n, p, macro, monkeypatch):
     """A compiled run that needs the product keeps it: either the blocks
-    rode the replay (C and returns bitwise equal to heap's) or the run
-    fell back to heap with a reason — never ``C is None``."""
+    rode the replay (C and returns bitwise equal to ready's) or the run
+    fell back to ready with a reason — never ``C is None``."""
     monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
     res_c = _run_driver(key, n, p, "compiled")
-    res_h = _run_driver(key, n, p, "heap")
-    _assert_identical(res_c.sim, res_h.sim, p)
+    res_d = _run_driver(key, n, p, "ready")
+    _assert_identical(res_c.sim, res_d.sim, p)
     if res_c.sim.compiled:
         assert registry.get(key).compiled_product
         assert res_c.sim.compile_fallback is None
     else:
         assert res_c.sim.compile_fallback
-    assert np.array_equal(res_c.C, res_h.C)
-    assert_same_returns(res_c.sim.returns, res_h.sim.returns)
+    assert np.array_equal(res_c.C, res_d.C)
+    assert_same_returns(res_c.sim.returns, res_d.sim.returns)
     A, B = _operands(key, n)
     np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
@@ -151,10 +151,10 @@ def test_cannon_macro_shifts_compiled_bit_identical(p, overlap, monkeypatch):
     serial rolls replay as shift phases charged on precomputed routing,
     overlapped rolls as SendAll phases."""
     res_c = _run_driver("cannon", 32, p, "compiled", overlap_shifts=overlap)
-    res_h = _run_driver("cannon", 32, p, "heap", overlap_shifts=overlap)
+    res_d = _run_driver("cannon", 32, p, "ready", overlap_shifts=overlap)
     assert res_c.sim.compiled, res_c.sim.compile_fallback
-    _assert_identical(res_c.sim, res_h.sim, p)
-    assert np.array_equal(res_c.C, res_h.C)
+    _assert_identical(res_c.sim, res_d.sim, p)
+    assert np.array_equal(res_c.C, res_d.C)
 
 
 @pytest.mark.parametrize("all_port", [False, True], ids=["one-port", "all-port"])
@@ -168,10 +168,10 @@ def test_cannon_overlap_shifts_compiled(all_port, monkeypatch):
     B = rng.standard_normal((16, 16))
     res_c = run_cannon(A, B, 16, machine=machine, overlap_shifts=True,
                        scheduler="compiled")
-    res_h = run_cannon(A, B, 16, machine=machine, overlap_shifts=True,
-                       scheduler="heap")
+    res_d = run_cannon(A, B, 16, machine=machine, overlap_shifts=True,
+                       scheduler="ready")
     assert res_c.sim.compiled
-    _assert_identical(res_c.sim, res_h.sim, 16)
+    _assert_identical(res_c.sim, res_d.sim, 16)
 
 
 def test_simple_on_mesh_ring_allgather_compiles():
@@ -184,10 +184,10 @@ def test_simple_on_mesh_ring_allgather_compiles():
     topo = Mesh2D(4, 4)
     res_c = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
                        scheduler="compiled", product=False)
-    res_h = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
-                       scheduler="heap")
+    res_d = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
+                       scheduler="ready")
     assert res_c.sim.compiled, res_c.sim.compile_fallback
-    _assert_identical(res_c.sim, res_h.sim, 16)
+    _assert_identical(res_c.sim, res_d.sim, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +236,16 @@ def _relay_factories(p, nwords=10, tag=5):
 
 def test_rank_asymmetric_program_falls_back_bit_identically():
     """Acceptance criterion: the relay line is NOT rank-symmetric; the
-    compiler must notice (probe traces diverge) and the heap fallback
-    must agree with an explicit heap run on every field."""
+    compiler must notice (probe traces diverge) and the ready fallback
+    must agree with an explicit ready run on every field."""
     p = 16
     topo = Hypercube(4)
     res_c = Engine(topo, NCUBE2_LIKE, scheduler="compiled",
                    symmetry=_ring_spec(p)).run(_relay_factories(p))
-    res_h = Engine(topo, NCUBE2_LIKE, scheduler="heap").run(_relay_factories(p))
+    res_d = Engine(topo, NCUBE2_LIKE, scheduler="ready").run(_relay_factories(p))
     assert not res_c.compiled
     assert res_c.compile_fallback  # reason recorded
-    _assert_identical(res_c, res_h, p)
+    _assert_identical(res_c, res_d, p)
     assert res_c.returns == list(range(p))  # real generators actually ran
 
 
@@ -254,11 +254,11 @@ def test_symmetric_program_compiles():
     topo = Hypercube(4)
     res_c = Engine(topo, NCUBE2_LIKE, scheduler="compiled",
                    symmetry=_ring_spec(p)).run(_ring_factories(p))
-    res_h = Engine(topo, NCUBE2_LIKE, scheduler="heap").run(_ring_factories(p))
+    res_d = Engine(topo, NCUBE2_LIKE, scheduler="ready").run(_ring_factories(p))
     assert res_c.compiled and res_c.compile_fallback is None
     assert res_c.arrays is not None
     assert res_c.returns == [None] * p
-    _assert_identical(res_c, res_h, p)
+    _assert_identical(res_c, res_d, p)
 
 
 @pytest.mark.parametrize(
@@ -279,6 +279,42 @@ def test_pre_probe_blockers_fall_back(kwargs, reason):
     )
     assert not res.compiled
     assert reason in res.compile_fallback
+    assert res.scheduler == ("rescan" if "link_contention" in kwargs else "ready")
+
+
+@pytest.mark.parametrize(
+    "requested,kwargs,ran",
+    [
+        ("compiled", dict(symmetry=True), "compiled"),
+        ("compiled", dict(), "ready"),
+        ("compiled", dict(symmetry=True, factories=_relay_factories), "ready"),
+        ("compiled", dict(symmetry=True, link_contention=True), "rescan"),
+        ("compiled", dict(symmetry=True, fault_plan=FaultPlan(seed=1)), "ready"),
+        ("ready", dict(), "ready"),
+        ("ready", dict(link_contention=True), "rescan"),
+        ("ready", dict(fault_plan=FaultPlan(seed=1, drop_rate=0.2, timeout=50.0)), "ready"),
+        ("rescan", dict(), "rescan"),
+        ("rescan", dict(fault_plan=FaultPlan(seed=1)), "rescan"),
+        (None, dict(link_contention=True), "rescan"),
+    ],
+)
+def test_result_records_the_scheduler_that_ran(requested, kwargs, ran):
+    """``SimResult.scheduler`` names the loop that produced the clocks:
+    link contention switches every request to ``rescan``, and a compiled
+    request that cannot compile (before or after probing) runs on
+    ``ready``.  The switch never changes the clocks."""
+    p = 8
+    topo = Hypercube(3)
+    make = kwargs.pop("factories", _ring_factories)
+    if kwargs.pop("symmetry", False):
+        kwargs["symmetry"] = _ring_spec(p)
+    res = Engine(topo, NCUBE2_LIKE, scheduler=requested, **kwargs).run(make(p))
+    assert res.scheduler == ran
+    assert res.compiled == (ran == "compiled")
+    kwargs.pop("symmetry", None)
+    ref = Engine(topo, NCUBE2_LIKE, scheduler="rescan", **kwargs).run(make(p))
+    assert res.parallel_time == ref.parallel_time
+    assert res.stats == ref.stats
 
 
 def test_malformed_symmetry_spec_raises():
@@ -340,10 +376,10 @@ def test_compiled_fuzz_random_machines(seed):
     factories = [make(r) for r in range(p)]
     res_c = Engine(topo, machine, scheduler="compiled",
                    symmetry=_ring_spec(p)).run(factories)
-    res_h = Engine(topo, machine, scheduler="heap").run(factories)
+    res_d = Engine(topo, machine, scheduler="ready").run(factories)
     res_r = Engine(topo, machine, scheduler="rescan").run(factories)
     assert res_c.compiled, res_c.compile_fallback
-    _assert_identical(res_c, res_h, p)
+    _assert_identical(res_c, res_d, p)
     _assert_identical(res_c, res_r, p)
 
 
@@ -387,7 +423,7 @@ def test_numba_gating_off_by_default():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "rescan", "heap", "compiled"])
+@pytest.mark.parametrize("scheduler", ["ready", "rescan", "compiled"])
 def test_totals_match_per_rank_stats(scheduler, monkeypatch):
     res = _run_driver("cannon", 16, 16, scheduler)
     sim = res.sim
@@ -408,7 +444,7 @@ def test_totals_match_per_rank_stats(scheduler, monkeypatch):
 
 
 def test_totals_fall_back_to_python_sums_without_arrays():
-    res = _run_driver("cannon", 16, 16, "heap")
+    res = _run_driver("cannon", 16, 16, "ready")
     sim = res.sim
     with_arrays = (sim.total_messages, sim.total_words,
                    sim.total_compute_time, sim.total_comm_time)

@@ -5,11 +5,10 @@ corresponding receive) and checks the engine's global invariants:
 no deadlock, clock monotonicity, exact payload delivery, conservation
 of messages/words, and determinism.  The same schedules also drive the
 scheduler-equivalence property: the event-driven ``ready`` scheduler
-and the event-heap ``heap`` scheduler must produce bit-identical
-clocks, stats, and return values to the reference ``rescan`` scheduler
-on every program — including the configurations ``ready`` never
-covered (tracing on, link contention, and active ``FaultPlan``s, which
-silently fall back to rescan unless ``heap`` is selected).
+must produce bit-identical clocks, stats, and return values to the
+reference ``rescan`` scheduler on every program — with tracing on and
+under active ``FaultPlan``s, which ``ready`` runs on its exact loop.
+Link contention always runs the reference, whatever was requested.
 """
 
 import numpy as np
@@ -130,10 +129,9 @@ def test_fuzz_determinism(seed, nops):
     routing=st.sampled_from(["sf", "ct"]),
     barriers=st.booleans(),
     topo=st.sampled_from(["full", "hypercube"]),
-    scheduler=st.sampled_from(["ready", "heap"]),
 )
-def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo, scheduler):
-    """The fast schedulers are clock-identical to the seed rescan scheduler.
+def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo):
+    """The ready scheduler is clock-identical to the seed rescan scheduler.
 
     Not approximately equal — bit-identical: all paths must perform the
     same float operations in the same order per rank, so parallel_time,
@@ -146,7 +144,7 @@ def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo, sc
     make_topo = (lambda: FullyConnected(p)) if topo == "full" else (
         lambda: Hypercube(int(np.log2(p)))
     )
-    r_fast = Engine(make_topo(), machine, scheduler=scheduler).run(_factory_for(ops))
+    r_fast = Engine(make_topo(), machine, scheduler="ready").run(_factory_for(ops))
     r_rescan = Engine(make_topo(), machine, scheduler="rescan").run(_factory_for(ops))
     assert r_fast.parallel_time == r_rescan.parallel_time
     assert r_fast.stats == r_rescan.stats
@@ -156,21 +154,18 @@ def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo, sc
 
 
 @settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    scheduler=st.sampled_from(["ready", "heap"]),
-)
-def test_schedulers_identical_traces(seed, scheduler):
-    """With tracing on, all schedulers emit the same per-rank events.
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_schedulers_identical_traces(seed):
+    """With tracing on, ready and rescan emit the same per-rank events.
 
-    Tracing forces ``ready`` onto the rescan path, but ``heap`` keeps
-    its own loop — so this pins the heap's traced runs (timings, kinds,
-    labels, tags) against the reference event for event.
+    Tracing keeps ``ready`` on its own loop (only the barrier release
+    takes the reference helper), so this pins its traced runs (timings,
+    kinds, labels, tags) against the reference event for event.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, 4, 30, barriers=True)
     machine = MachineParams(ts=3.0, tw=2.0)
-    r1 = Engine(FullyConnected(4), machine, trace=True, scheduler=scheduler).run(_factory_for(ops))
+    r1 = Engine(FullyConnected(4), machine, trace=True, scheduler="ready").run(_factory_for(ops))
     r2 = Engine(FullyConnected(4), machine, trace=True, scheduler="rescan").run(_factory_for(ops))
     for rank in range(4):
         e1, e2 = r1.trace.for_rank(rank), r2.trace.for_rank(rank)
@@ -214,30 +209,29 @@ def _fault_fingerprint(res):
     shape=st.sampled_from(["crash", "straggler", "drop", "combined"]),
     traced=st.booleans(),
 )
-def test_heap_matches_rescan_under_faults(seed, p, nops, shape, traced):
-    """Fault-active runs: heap is bit-identical to rescan, fault field by field.
+def test_ready_matches_rescan_under_faults(seed, p, nops, shape, traced):
+    """Fault-active runs: ready is bit-identical to rescan, fault field by field.
 
-    ``ready`` silently falls back to rescan whenever a FaultPlan is set,
-    so these configurations are exactly the ones the heap scheduler
-    newly covers — the recovery timeline (crashes, stragglers,
-    drops/retransmits, checkpoints) must come out identical because the
-    heap's exact regime charges every request through the same reference
-    helpers, just in heap order.
+    Under a FaultPlan ``ready`` runs its exact loop — the recovery
+    timeline (crashes, stragglers, drops/retransmits, checkpoints) must
+    come out identical because that loop charges every request through
+    the same reference helpers, just in ready-queue order.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, p, nops, barriers=True)
     machine = MachineParams(ts=4.0, tw=1.5, th=0.25)
     plan = _fault_plan(shape, seed % 1000)
-    r_heap = Engine(
-        FullyConnected(p), machine, fault_plan=plan, trace=traced, scheduler="heap"
+    r_ready = Engine(
+        FullyConnected(p), machine, fault_plan=plan, trace=traced, scheduler="ready"
     ).run(_factory_for(ops))
     r_rescan = Engine(
         FullyConnected(p), machine, fault_plan=plan, trace=traced, scheduler="rescan"
     ).run(_factory_for(ops))
-    assert _fault_fingerprint(r_heap) == _fault_fingerprint(r_rescan)
+    assert r_ready.scheduler == "ready"
+    assert _fault_fingerprint(r_ready) == _fault_fingerprint(r_rescan)
     if traced:
         for rank in range(p):
-            e1 = r_heap.trace.for_rank(rank)
+            e1 = r_ready.trace.for_rank(rank)
             e2 = r_rescan.trace.for_rank(rank)
             assert [(e.start, e.end, e.kind, e.detail) for e in e1] == [
                 (e.start, e.end, e.kind, e.detail) for e in e2
@@ -250,25 +244,26 @@ def test_heap_matches_rescan_under_faults(seed, p, nops, shape, traced):
     p=st.sampled_from([2, 4, 8]),
     nops=st.integers(min_value=5, max_value=50),
 )
-def test_heap_matches_rescan_under_contention(seed, p, nops):
-    """Link contention on a fully connected machine: heap == rescan.
+def test_contention_runs_rescan_whatever_was_requested(seed, p, nops):
+    """Link contention: every request runs the rescan reference.
 
-    Single-hop routes make contention confluent (each directed link is
-    fed by one sender in program order), so the heap's event order must
-    reserve the same link windows the rescan reference does.
+    Reservations are granted in scheduler order, so the reference order
+    is part of the contention mode's contract; a ``ready`` request is
+    switched to ``rescan`` and the result says so.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, p, nops)
     machine = MachineParams(ts=4.0, tw=1.5)
-    r_heap = Engine(
-        FullyConnected(p), machine, link_contention=True, scheduler="heap"
+    r_ready = Engine(
+        FullyConnected(p), machine, link_contention=True, scheduler="ready"
     ).run(_factory_for(ops))
     r_rescan = Engine(
         FullyConnected(p), machine, link_contention=True, scheduler="rescan"
     ).run(_factory_for(ops))
-    assert r_heap.parallel_time == r_rescan.parallel_time
-    assert r_heap.stats == r_rescan.stats
-    assert r_heap.returns == r_rescan.returns
+    assert r_ready.scheduler == r_rescan.scheduler == "rescan"
+    assert r_ready.parallel_time == r_rescan.parallel_time
+    assert r_ready.stats == r_rescan.stats
+    assert r_ready.returns == r_rescan.returns
 
 
 @settings(max_examples=15, deadline=None)
@@ -280,12 +275,11 @@ def test_heap_matches_rescan_under_contention(seed, p, nops):
     routing=st.sampled_from(["sf", "ct"]),
 )
 def test_sendall_exchange_bit_identical(seed, p, k, all_port, routing):
-    """Neighbor exchanges through SendAll: heap == ready == rescan.
+    """Neighbor exchanges through SendAll: ready == rescan.
 
-    ``p = 32`` with ``k = 4`` destinations pushes the heap scheduler's
-    batched SendAll charging onto its vectorized path; the smaller
-    configurations stay on the scalar path — both must match the
-    reference under one-port and all-port models.
+    Both port models — the all-port max-fold and the one-port
+    serialization — must match the reference, up to ``p = 32`` ranks
+    with ``k = 4`` destinations each.
     """
     rng = np.random.default_rng(seed)
     k = min(k, p - 1)  # SendAll destinations must be distinct
@@ -306,17 +300,13 @@ def test_sendall_exchange_bit_identical(seed, p, k, all_port, routing):
         return got
 
     machine = MachineParams(ts=5.0, tw=1.3, th=0.2, routing=routing, all_port=all_port)
-    results = {
-        s: Engine(FullyConnected(p), machine, scheduler=s).run(
-            [prog for _ in range(p)]
-        )
-        for s in ("heap", "ready", "rescan")
-    }
-    ref = results["rescan"]
-    for s in ("heap", "ready"):
-        assert results[s].parallel_time == ref.parallel_time
-        assert results[s].stats == ref.stats
-        assert results[s].returns == ref.returns
+    fast, ref = (
+        Engine(FullyConnected(p), machine, scheduler=s).run([prog for _ in range(p)])
+        for s in ("ready", "rescan")
+    )
+    assert fast.parallel_time == ref.parallel_time
+    assert fast.stats == ref.stats
+    assert fast.returns == ref.returns
 
 
 @settings(max_examples=15, deadline=None)
@@ -332,3 +322,48 @@ def test_trace_times_monotone_per_rank(seed):
             assert a.end <= b.start + 1e-9
         for e in events:
             assert e.start <= e.end
+
+
+def _relay_ring(ring_len: int):
+    """Relay rings of *ring_len* consecutive ranks, one token per ring.
+
+    The token moves toward decreasing ranks, so every rescan pass
+    advances each ring by one hop while the ready queue follows the
+    token — the two loops interleave the ranks as differently as they
+    can.
+    """
+
+    def prog(info):
+        base = (info.rank // ring_len) * ring_len
+        pos = info.rank - base
+        down = base + (pos - 1) % ring_len
+        up = base + (pos + 1) % ring_len
+        if pos == 0:
+            yield Send(dst=down, data=0, nwords=8, tag=0)
+            got = yield Recv(src=up, tag=0)
+        else:
+            got = yield Recv(src=up, tag=0)
+            yield Send(dst=down, data=got, nwords=8, tag=0)
+        return got
+
+    return prog
+
+
+def test_fault_active_relay_ring_ready_matches_rescan():
+    """p = 1024 relay rings under degraded links and message drops:
+    the ready queue's exact loop reproduces the reference timeline —
+    clocks, accounts, retransmits and fault counts — bit for bit."""
+    p = 1024
+    plan = FaultPlan(
+        seed=3, horizon=1e9, degrade_rate=0.05, degrade_factor=1.5,
+        drop_rate=0.05, timeout=40.0,
+    )
+    machine = MachineParams(ts=10.0, tw=2.0)
+    prog = _relay_ring(256)
+    r_ready, r_rescan = (
+        Engine(FullyConnected(p), machine, scheduler=s, fault_plan=plan).run([prog] * p)
+        for s in ("ready", "rescan")
+    )
+    assert r_ready.scheduler == "ready"
+    assert r_ready.retransmits > 0 and r_ready.faults_injected > 0
+    assert _fault_fingerprint(r_ready) == _fault_fingerprint(r_rescan)

@@ -294,8 +294,6 @@ def test_fuzz_macro_matches_reference(seed, p, rounds, machine, fully_connected)
     macro, msg, rescan = run_three_ways(p, topo, machine, factory)
     assert_identical(macro, msg, f"seed={seed} macro vs message-ready")
     assert_identical(macro, rescan, f"seed={seed} macro vs rescan reference")
-    heap = run_spmd(topo, machine, factory, scheduler="heap", macro_collectives=True)
-    assert_identical(heap, rescan, f"seed={seed} heap macro vs rescan reference")
 
 
 # -- payload aliasing: the zero-copy contract --------------------------------------
@@ -506,12 +504,17 @@ TOPOLOGY_KINDS = {
 }
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+#: a second machine for the driver batches: cut-through routing with a
+#: per-hop cost, so relayed hypercube routes charge the hop term
+CT_HOP = MachineParams(ts=10.0, tw=2.0, th=1.0, routing="ct", name="ct-hop")
+
+
+@pytest.mark.parametrize("machine", [NCUBE2_LIKE, CT_HOP], ids=lambda m: m.name)
 @pytest.mark.parametrize("topo_kind", sorted(TOPOLOGY_KINDS))
 @pytest.mark.parametrize("blocks", ["uniform", "ragged"])
 @pytest.mark.parametrize("p,n_uniform,n_ragged", GK_CASES, ids=[f"p{c[0]}" for c in GK_CASES])
 def test_gk_deferred_batches_bit_identical(
-    p, n_uniform, n_ragged, blocks, topo_kind, scheduler, monkeypatch
+    p, n_uniform, n_ragged, blocks, topo_kind, machine, monkeypatch
 ):
     """GK's r² concurrent bcast/reduce groups charged together equal the
     message-level run; ragged blocks give per-row word counts."""
@@ -519,9 +522,12 @@ def test_gk_deferred_batches_bit_identical(
     A, B = _operands(n)
     macro, msg = _both_paths(
         monkeypatch,
-        lambda: run_gk(A, B, p, topology=TOPOLOGY_KINDS[topo_kind](p), scheduler=scheduler),
+        lambda: run_gk(
+            A, B, p, machine=machine, topology=TOPOLOGY_KINDS[topo_kind](p),
+            scheduler="ready",
+        ),
     )
-    _assert_driver_identical(macro, msg, f"gk p={p} n={n} {topo_kind} {scheduler}")
+    _assert_driver_identical(macro, msg, f"gk p={p} n={n} {topo_kind} {machine.name}")
     np.testing.assert_allclose(macro.C, A @ B, atol=1e-10 * n)
 
 
@@ -530,37 +536,40 @@ def test_gk_deferred_batches_bit_identical(
 DNS_BLOCK_CASES = [(2, 2), (4, 4), (16, 2)]
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("machine", [NCUBE2_LIKE, CT_HOP], ids=lambda m: m.name)
 @pytest.mark.parametrize("topo_kind", sorted(TOPOLOGY_KINDS))
 @pytest.mark.parametrize("n,r", DNS_BLOCK_CASES, ids=[f"p{n * n * r}" for n, r in DNS_BLOCK_CASES])
-def test_dns_block_deferred_batches_bit_identical(n, r, topo_kind, scheduler, monkeypatch):
+def test_dns_block_deferred_batches_bit_identical(n, r, topo_kind, machine, monkeypatch):
     A, B = _operands(n)
     p = n * n * r
     macro, msg = _both_paths(
         monkeypatch,
-        lambda: run_dns_block(A, B, r, topology=TOPOLOGY_KINDS[topo_kind](p), scheduler=scheduler),
+        lambda: run_dns_block(
+            A, B, r, machine=machine, topology=TOPOLOGY_KINDS[topo_kind](p),
+            scheduler="ready",
+        ),
     )
-    _assert_driver_identical(macro, msg, f"dns-block n={n} r={r} {topo_kind} {scheduler}")
+    _assert_driver_identical(macro, msg, f"dns-block n={n} r={r} {topo_kind} {machine.name}")
     np.testing.assert_allclose(macro.C, A @ B, atol=1e-10 * n)
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
 @pytest.mark.parametrize("key,n,p", [
     ("simple", 8, 16), ("simple", 16, 64),
     ("berntsen", 8, 8), ("berntsen", 16, 64),
     ("fox", 8, 16), ("fox", 16, 64),
 ])
-def test_other_algorithms_deferred_bit_identical(key, n, p, scheduler, monkeypatch):
+@pytest.mark.parametrize("machine", [CM5, CT_HOP], ids=lambda m: m.name)
+def test_other_algorithms_deferred_bit_identical(key, n, p, machine, monkeypatch):
     A, B = _operands(n)
     macro, msg = _both_paths(
         monkeypatch,
-        lambda: run_registered(key, A, B, p, machine=CM5, scheduler=scheduler),
+        lambda: run_registered(key, A, B, p, machine=machine, scheduler="ready"),
     )
-    _assert_driver_identical(macro, msg, f"{key} p={p} {scheduler}")
+    _assert_driver_identical(macro, msg, f"{key} p={p} {machine.name}")
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
-def test_one_flush_mixes_roots_and_word_counts(scheduler, monkeypatch):
+@pytest.mark.parametrize("machine", [NCUBE2_LIKE, CT_HOP], ids=lambda m: m.name)
+def test_one_flush_mixes_roots_and_word_counts(machine, monkeypatch):
     """Four concurrent groups with different roots and payload sizes are
     charged by a single executor call per collective, bit-identical to the
     message-level run."""
@@ -597,13 +606,13 @@ def test_one_flush_mixes_roots_and_word_counts(scheduler, monkeypatch):
 
     monkeypatch.setattr(engine_mod, "run_collective", spy)
     topo = Hypercube.of_size(p)
-    macro = run_spmd(topo, NCUBE2_LIKE, factory, scheduler=scheduler, macro_collectives=True)
-    msg = run_spmd(topo, NCUBE2_LIKE, factory, scheduler=scheduler, macro_collectives=False)
+    macro = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=True)
+    msg = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=False)
     assert calls == [
         ("bcast", 4, {0, 1, 2, 3}, {3, 8, 13, 18}),
         ("reduce", 4, {0, 1, 2, 3}, {3, 8, 13, 18}),
     ]
-    assert_identical(macro, msg, f"mixed roots/sizes {scheduler}")
+    assert_identical(macro, msg, f"mixed roots/sizes {machine.name}")
 
 
 # -- failure behaviour under deferral ----------------------------------------------
@@ -613,8 +622,7 @@ def _raw_post(kind="bcast", group=(0, 1, 2, 3), **kw):
     return CollectiveOp(kind=kind, group=list(group), data=np.zeros(2), **kw)
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
-def test_group_that_never_fills_deadlocks_naming_parked_ranks(scheduler):
+def test_group_that_never_fills_deadlocks_naming_parked_ranks():
     """Group [0, 1] completes and is flushed; rank 3 never joins [2, 3]."""
 
     def factory(info):
@@ -632,14 +640,13 @@ def test_group_that_never_fills_deadlocks_naming_parked_ranks(scheduler):
 
     with pytest.raises(DeadlockError) as exc:
         run_spmd(Hypercube.of_size(4), NCUBE2_LIKE, factory,
-                 scheduler=scheduler, macro_collectives=True)
+                 scheduler="ready", macro_collectives=True)
     assert set(exc.value.blocked) == {2}
     assert "bcast" in exc.value.blocked[2]
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
 @pytest.mark.parametrize("case", ["not-member", "disagreeing-roots", "duplicate", "out-of-range"])
-def test_rendezvous_errors_under_deferral(case, scheduler):
+def test_rendezvous_errors_under_deferral(case):
     def factory(info):
         def body():
             if case == "not-member":
@@ -657,7 +664,7 @@ def test_rendezvous_errors_under_deferral(case, scheduler):
 
     with pytest.raises(ProgramError):
         run_spmd(Hypercube.of_size(4), NCUBE2_LIKE, factory,
-                 scheduler=scheduler, macro_collectives=True)
+                 scheduler="ready", macro_collectives=True)
 
 
 def test_posting_twice_to_a_pending_group_raises():

@@ -1,7 +1,7 @@
 """PairHopCache edge cases: clamping, sharing, and hash-seed independence.
 
-The hop tables feed both the heap scheduler's batch charging and the
-trace compiler's replay, so three properties are load-bearing: the
+The hop tables feed the macro-collective executors and the trace
+compiler's replay, so three properties are load-bearing: the
 ``max(hops, 1)`` clamp must match the scalar message path exactly (a
 self-message still pays one link), the per-topology cache must be shared
 across Engine instances (:meth:`PairHopCache.shared`), and the tables
@@ -49,7 +49,6 @@ def test_single_rank_topology():
     """p=1: the only pair is (0, 0) and it still clamps to one hop."""
     for topo in (FullyConnected(1), Hypercube(0), _ScalarOnlyLine(1)):
         cache = PairHopCache(topo)
-        assert cache.hop(0, 0) == 1
         out = cache.bulk(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64))
         assert out.tolist() == [1, 1, 1]
 
@@ -79,7 +78,7 @@ def test_shared_cache_survives_across_engines():
     c1 = PairHopCache.shared(topo)
     c2 = PairHopCache.shared(topo)
     assert c1 is c2
-    c1.hop(2, 5)
+    c1.bulk(np.array([2], dtype=np.int64), np.array([5], dtype=np.int64))
     assert (2, 5) in c1._pairs
 
     def make(rank):
@@ -92,7 +91,7 @@ def test_shared_cache_survives_across_engines():
     from repro.core.machine import NCUBE2_LIKE
 
     for _ in range(2):
-        Engine(topo, NCUBE2_LIKE, scheduler="heap").run([make(r) for r in range(8)])
+        Engine(topo, NCUBE2_LIKE).run([make(r) for r in range(8)])
     assert PairHopCache.shared(topo) is c1
     # a different instance gets its own cache
     assert PairHopCache.shared(_ScalarOnlyLine(8)) is not c1

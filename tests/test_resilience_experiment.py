@@ -117,24 +117,24 @@ class TestSchedulerThreading:
 
     def test_u_curves_are_bit_identical_across_schedulers(self, report):
         # the fault regime's bit-identity contract, pinned end to end:
-        # the same U-curve study on the event-heap core must reproduce
-        # the reference (rescan) report number for number
-        heap = resilience.run(
+        # the same U-curve study on the rescan reference must reproduce
+        # the default (ready, exact fault loop) report number for number
+        rescan = resilience.run(
             p=64, n=16,
             drop_rates=(0.0, 0.05),
             interval_factors=(0.5, 1.0),
             crash_rate=1.0,
-            scheduler="heap",
+            scheduler="rescan",
         )
-        assert heap.scheduler == "heap"
-        assert heap.fault_rows == report.fault_rows
-        assert heap.checkpoint_rows == report.checkpoint_rows
-        assert heap.baseline == report.baseline
-        assert heap.best == report.best and heap.young == report.young
+        assert rescan.scheduler == "rescan"
+        assert rescan.fault_rows == report.fault_rows
+        assert rescan.checkpoint_rows == report.checkpoint_rows
+        assert rescan.baseline == report.baseline
+        assert rescan.best == report.best and rescan.young == report.young
 
     def test_cli_threads_scheduler(self, tmp_path):
         from repro.experiments.__main__ import run_one
 
         out = tmp_path / "resilience.json"
-        run_one("resilience", fast=True, json_out=str(out), scheduler="heap")
-        assert json.loads(out.read_text())["scheduler"] == "heap"
+        run_one("resilience", fast=True, json_out=str(out), scheduler="rescan")
+        assert json.loads(out.read_text())["scheduler"] == "rescan"

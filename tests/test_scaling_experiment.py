@@ -80,13 +80,13 @@ class TestScaledSpeedup:
         assert "scaled speedup" in text
         assert "cannon" in text
 
-    def test_verified_compiled_scaled_speedup_matches_heap(self):
-        """Verification no longer forces the heap: compiled replay carries
-        the blocks and the product check runs on its ``C``."""
+    def test_verified_compiled_scaled_speedup_matches_ready(self):
+        """Verification does not force a dynamic run: compiled replay
+        carries the blocks and the product check runs on its ``C``."""
         kw = dict(n0=4, p_values=(16, 64), verify=True)
         compiled = scaling.scaled_speedup("cannon", scheduler="compiled", **kw)
-        heap = scaling.scaled_speedup("cannon", scheduler="heap", **kw)
-        assert compiled == heap
+        ready = scaling.scaled_speedup("cannon", scheduler="ready", **kw)
+        assert compiled == ready
 
     def test_run_large_p_defaults_to_compiled_with_product(self, monkeypatch):
         from repro.algorithms import registry

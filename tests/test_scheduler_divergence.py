@@ -13,6 +13,11 @@ and on (every group size takes the macro executors, so the figures'
 small row/column groups are charged as deferred cross-group batches):
 the ready scheduler with macro collectives must match the rescan
 reference — which always simulates message level — exactly.
+
+Each configuration also runs under a fault plan (stragglers, degraded
+links, dropped messages) given to both schedulers.  The ready scheduler
+then takes its exact loop and ignores the macro request, and its fault
+timeline must still equal the reference's bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import repro.simulator.engine as engine_mod
 from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk_cm5
 from repro.core.machine import CM5
+from repro.simulator.faults import FaultPlan
 from repro.simulator.topology import FullyConnected
 
 #: (figure, algorithm, n, p) — matrix sizes drawn from the figures'
@@ -41,8 +47,24 @@ CM5_CONFIGS = [
     ("fig5", "cannon", 110, 484),
 ]
 
+#: no plan runs the ready fast loop; a fault plan runs its exact loop
+PLANS = {
+    "fault-free": None,
+    "faulty": FaultPlan(
+        seed=11,
+        straggler_rate=0.25,
+        straggler_factor=2.0,
+        degrade_rate=0.25,
+        degrade_factor=3.0,
+        drop_rate=0.01,
+        timeout=500.0,
+    ),
+}
 
-def _run(algorithm: str, n: int, p: int, scheduler: str, macro: bool, monkeypatch):
+
+def _run(
+    algorithm: str, n: int, p: int, scheduler: str, macro: bool, plan, monkeypatch
+):
     """One figure point under the given engine scheduler.
 
     The process-wide default is flipped the same way
@@ -57,21 +79,27 @@ def _run(algorithm: str, n: int, p: int, scheduler: str, macro: bool, monkeypatc
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
     if algorithm == "gk":
-        return run_gk_cm5(A, B, p, machine=CM5)
-    return run_cannon(A, B, p, machine=CM5, topology=FullyConnected(p))
+        return run_gk_cm5(A, B, p, machine=CM5, fault_plan=plan)
+    return run_cannon(A, B, p, machine=CM5, topology=FullyConnected(p), fault_plan=plan)
 
 
-@pytest.mark.parametrize("scheduler", ["ready", "heap"])
+@pytest.mark.parametrize("plan_kind", sorted(PLANS))
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("figure,algorithm,n,p", CM5_CONFIGS)
 def test_ready_and_rescan_identical_on_cm5_configs(
-    figure, algorithm, n, p, macro, scheduler, monkeypatch
+    figure, algorithm, n, p, macro, plan_kind, monkeypatch
 ):
-    ready = _run(algorithm, n, p, scheduler, macro, monkeypatch)
+    plan = PLANS[plan_kind]
+    ready = _run(algorithm, n, p, "ready", macro, plan, monkeypatch)
     # the rescan reference always simulates message level (the engine
     # rejects macro requests there), so with macro=True this pins the
     # fast path against the reference on the real figure workloads
-    rescan = _run(algorithm, n, p, "rescan", False, monkeypatch)
+    rescan = _run(algorithm, n, p, "rescan", False, plan, monkeypatch)
+    assert ready.sim.scheduler == "ready"
+    if plan is not None:
+        # the plan really fired, so the exact loop was exercised
+        assert ready.sim.faults_injected == rescan.sim.faults_injected > 0
+        assert ready.sim.retransmits == rescan.sim.retransmits
 
     # headline number: T_p bit-identical, not approximately equal
     assert ready.parallel_time == rescan.parallel_time
@@ -101,4 +129,12 @@ def test_ready_and_rescan_identical_on_cm5_configs(
 def test_scheduler_default_is_ready():
     """The fast path is the default; rescan stays the reference."""
     assert engine_mod.DEFAULT_SCHEDULER == "ready"
-    assert engine_mod.SCHEDULERS == ("ready", "rescan", "heap", "compiled")
+    assert engine_mod.SCHEDULERS == ("ready", "rescan", "compiled")
+
+
+def test_unknown_process_default_is_rejected(monkeypatch):
+    """A stale or mistyped module default fails loudly instead of
+    silently running some other scheduler."""
+    monkeypatch.setattr(engine_mod, "DEFAULT_SCHEDULER", "heap")
+    with pytest.raises(ValueError, match="unknown scheduler 'heap'"):
+        engine_mod.Engine(FullyConnected(2), CM5).run(lambda info: None)

@@ -100,13 +100,25 @@ class TestServeTier:
 )
 def test_compiled_job_verified_unless_timing_only(algorithm, n, p, verified):
     """A compiled job verifies its product where the replay (Cannon) or the
-    heap fallback (GK) yields one; simple and Berntsen run timing-only
-    rather than falling back to heap, with the heap run's timing."""
+    ready fallback (GK) yields one; simple and Berntsen run timing-only
+    rather than falling back to ready, with the ready run's timing."""
     got = simulated_prediction(algorithm, n, p, NCUBE, scheduler="compiled")
-    heap = simulated_prediction(algorithm, n, p, NCUBE, scheduler="heap")
+    ready = simulated_prediction(algorithm, n, p, NCUBE, scheduler="ready")
     assert got["verified"] is verified
-    assert heap["verified"] is True
-    assert got["simulated_time"] == heap["simulated_time"]
+    assert ready["verified"] is True
+    assert got["simulated_time"] == ready["simulated_time"]
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "fifo"])
+def test_job_with_unknown_scheduler_is_rejected_listing_known_ones(scheduler):
+    from repro.serve import ReproServer, ServeConfig
+
+    server = ReproServer(ServeConfig(preload=False))
+    body = {"machine": "cm5", "algorithm": "cannon", "n": 16, "p": 16,
+            "scheduler": scheduler}
+    status, payload = asyncio.run(server.dispatch("POST", "/jobs", body))
+    assert status == 400
+    assert "ready, rescan, compiled" in payload["error"]
 
 
 class TestJobQueue:
