@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke bench-compare experiments examples lint resilience-smoke scale-16k-smoke scale-64k-smoke campaign-smoke serve-smoke clean
+.PHONY: install test bench bench-smoke bench-compare experiments examples lint resilience-smoke scale-16k-smoke scale-64k-smoke campaign-smoke serve-smoke perfbench-smoke clean
 
 install:
 	pip install -e ".[test]"
@@ -84,6 +84,15 @@ campaign-smoke:
 # counters are asserted, exit non-zero otherwise.
 serve-smoke:
 	python benchmarks/serve_loadgen.py --smoke
+
+# The end-to-end benchmark's own tests, then one short traced paper-figs
+# run (~10 s; it writes only to the git-ignored perfbench/out/).  The
+# benchmark patches engine entry points (Engine.run, compile_spmd,
+# message_times, run_collective) and calls the figure drivers and
+# scaled_speedup by name, so a refactor that renames one fails here.
+perfbench-smoke:
+	pytest -q perfbench/test_perfbench.py
+	python3 perfbench/run.py --workload paper-figs --seed 7 --seconds 2 --trace 1
 
 examples:
 	python examples/quickstart.py

@@ -109,7 +109,7 @@ from repro.core.models import MODELS  # noqa: E402
 from repro.core.regions import best_algorithm, region_map  # noqa: E402
 from repro.experiments.sweep import sweep  # noqa: E402
 from repro.simulator import collectives, engine  # noqa: E402
-from repro.simulator.engine import Engine  # noqa: E402
+from repro.simulator.engine import Engine, SimConfig  # noqa: E402
 from repro.simulator.faults import FaultPlan  # noqa: E402
 from repro.simulator.request import Recv, Send  # noqa: E402
 from repro.simulator.topology import FullyConnected  # noqa: E402
@@ -117,7 +117,7 @@ from repro.simulator.topology import FullyConnected  # noqa: E402
 MACHINE = MachineParams(ts=10.0, tw=2.0)
 
 
-def _seed_style_sweep(algorithms, n_values, p_values, machine, seed=0, verify=True):
+def _seed_style_sweep(algorithms, n_values, p_values, machine, config, seed=0, verify=True):
     """The seed repository's sweep loop, verbatim: one sequential RNG,
     per-row ``A @ B`` verification, no hoisting, no cache."""
     rows = []
@@ -133,7 +133,7 @@ def _seed_style_sweep(algorithms, n_values, p_values, machine, seed=0, verify=Tr
                 if not entry.feasible(n, p):
                     continue
                 A, B = mats[n]
-                res = entry.run(A, B, p, machine=machine)
+                res = entry.run(A, B, p, machine=machine, config=config)
                 if verify and not np.allclose(res.C, A @ B):
                     raise AssertionError(f"{key} wrong product at (n={n}, p={p})")
                 rows.append(
@@ -160,19 +160,6 @@ def _seed_style_region_cells(machine, log2_p_max, log2_n_max):
     return [[best_algorithm(n, p, machine) for p in p_values] for n in n_values]
 
 
-def _with_defaults(fn, *, scheduler: str | None = None, macro: bool | None = None):
-    """Run *fn* with the engine's module defaults forced where given."""
-    prev = engine.DEFAULT_SCHEDULER, engine.DEFAULT_MACRO_COLLECTIVES
-    if scheduler is not None:
-        engine.DEFAULT_SCHEDULER = scheduler
-    if macro is not None:
-        engine.DEFAULT_MACRO_COLLECTIVES = macro
-    try:
-        return fn()
-    finally:
-        engine.DEFAULT_SCHEDULER, engine.DEFAULT_MACRO_COLLECTIVES = prev
-
-
 def _time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -182,21 +169,29 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
+def _time_warm(fns, repeats: int) -> list[float]:
+    """:func:`_time` of each of *fns* after one untimed call of each, so no
+    side pays the process's first-call costs."""
+    for fn in fns:
+        fn()
+    return [_time(fn, repeats) for fn in fns]
+
+
 def bench_engine(fast: bool, repeats: int) -> dict:
     from repro.algorithms.cannon import run_cannon
 
     n_values = (16, 32) if fast else (16, 32, 64)
     p_values = (16, 64) if fast else (16, 64, 256)
 
-    def run_grid():
+    def run_grid(config):
         for n in n_values:
             rng = np.random.default_rng(n)
             A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
             for p in p_values:
-                run_cannon(A, B, p, machine=MACHINE)
+                run_cannon(A, B, p, machine=MACHINE, config=config)
 
-    rescan = _time(lambda: _with_defaults(run_grid, scheduler="rescan"), repeats)
-    ready = _time(run_grid, repeats)
+    rescan = _time(lambda: run_grid(SimConfig(scheduler="rescan")), repeats)
+    ready = _time(lambda: run_grid(SimConfig()), repeats)
     return {"rescan_s": rescan, "ready_s": ready, "speedup": rescan / ready}
 
 
@@ -255,11 +250,8 @@ def bench_engine_ready(fast: bool, repeats: int) -> dict:
         rep = repeats if p <= 4096 else 1
 
         def run_with(scheduler: str, fault: bool):
-            eng = Engine(
-                topo, MACHINE, scheduler=scheduler,
-                fault_plan=plan if fault else None,
-            )
-            return eng.run([prog] * p).parallel_time
+            config = SimConfig(scheduler=scheduler, fault_plan=plan if fault else None)
+            return Engine(topo, MACHINE, config).run([prog] * p).parallel_time
 
         for fault in (False, True):
             assert run_with("ready", fault) == run_with("rescan", fault)
@@ -336,7 +328,7 @@ def bench_engine_compiled(fast: bool, repeats: int) -> dict:
 
         def run_with(scheduler: str):
             return Engine(
-                topo, MACHINE, scheduler=scheduler, symmetry=symmetry
+                topo, MACHINE, SimConfig(scheduler=scheduler), symmetry=symmetry
             ).run(factories)
 
         res_c = run_with("compiled")
@@ -395,12 +387,13 @@ _MEMORY_SNIPPET = _VM_HWM_READER + """
 import json, sys
 import numpy as np
 from repro.algorithms.cannon import run_cannon
+from repro.simulator.engine import SimConfig
 p, sched = int(sys.argv[1]), sys.argv[2]
 side = int(np.sqrt(p) + 0.5)
 rng = np.random.default_rng(0)
 A = rng.standard_normal((side, side))
 B = rng.standard_normal((side, side))
-res = run_cannon(A, B, p, scheduler=sched)
+res = run_cannon(A, B, p, config=SimConfig(scheduler=sched))
 print(json.dumps({
     "vm_hwm_kb": vm_hwm_kb(),
     "t_p": res.parallel_time,
@@ -437,7 +430,7 @@ def bench_memory(fast: bool) -> dict:
     topo, factories, symmetry = _cannon_engine_setup(1024)
     for sched in ("ready", "compiled"):
         tracemalloc.start()
-        Engine(topo, MACHINE, scheduler=sched, symmetry=symmetry).run(factories)
+        Engine(topo, MACHINE, SimConfig(scheduler=sched), symmetry=symmetry).run(factories)
         _, peak = tracemalloc.get_traced_memory()
         blocks = sum(
             s.count for s in tracemalloc.take_snapshot().statistics("filename")
@@ -459,9 +452,8 @@ def bench_sweep(fast: bool, repeats: int, jobs: int) -> dict:
     p_values = (4, 16, 64) if fast else (4, 16, 64, 256)
 
     seed_once = _time(
-        lambda: _with_defaults(
-            lambda: _seed_style_sweep(algorithms, n_values, p_values, MACHINE),
-            scheduler="rescan",
+        lambda: _seed_style_sweep(
+            algorithms, n_values, p_values, MACHINE, SimConfig(scheduler="rescan")
         ),
         repeats,
     )
@@ -530,13 +522,16 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
     topo = Hypercube.of_size(p)
     factory = _bcast_heavy_factory(p, rounds)
 
-    def run_bcast():
-        engine.run_spmd(topo, NCUBE2_LIKE, factory)
+    def run_bcast(config):
+        return lambda: engine.run_spmd(topo, NCUBE2_LIKE, factory, config)
 
-    macro_s = _time(run_bcast, repeats)
-    msg_ready_s = _time(lambda: _with_defaults(run_bcast, macro=False), repeats)
-    reference_s = _time(
-        lambda: _with_defaults(run_bcast, scheduler="rescan", macro=False), repeats
+    macro_s, msg_ready_s, reference_s = _time_warm(
+        [
+            run_bcast(SimConfig()),
+            run_bcast(SimConfig(macro_collectives=False)),
+            run_bcast(SimConfig(scheduler="rescan", macro_collectives=False)),
+        ],
+        repeats,
     )
 
     # Figure 5's GK point (CM-5, p = 512, n = 176) in absolute seconds:
@@ -547,24 +542,26 @@ def bench_collectives(fast: bool, repeats: int) -> dict:
     rng = np.random.default_rng(176)
     gk_a, gk_b = rng.standard_normal((176, 176)), rng.standard_normal((176, 176))
 
-    def run_gk_fig5():
-        run_gk_cm5(gk_a, gk_b, 512)
+    def run_gk_fig5(config):
+        return lambda: run_gk_cm5(gk_a, gk_b, 512, config=config)
 
-    gk_macro_s = _time(run_gk_fig5, repeats)
-    gk_msg_s = _time(lambda: _with_defaults(run_gk_fig5, macro=False), repeats)
+    gk_macro_s, gk_msg_s = _time_warm(
+        [run_gk_fig5(SimConfig()), run_gk_fig5(SimConfig(macro_collectives=False))],
+        repeats,
+    )
 
     fig4_sizes = (16, 48) if fast else (16, 48, 96, 144)
     fig5_sizes = (66, 132) if fast else (66, 132, 264, 352)
 
-    def run_fig45(cannon_scheduler):
-        figures45.run_fig4(sizes=fig4_sizes, cannon_scheduler=cannon_scheduler)
-        figures45.run_fig5(sizes=fig5_sizes, cannon_scheduler=cannon_scheduler)
+    def run_fig45(config):
+        figures45.run_fig4(sizes=fig4_sizes, config=config)
+        figures45.run_fig5(sizes=fig5_sizes, config=config)
 
-    # the pipeline runs Cannon on compiled replay; the reference runs it
-    # on the configured reference scheduler like GK
-    fig45_fast_s = _time(lambda: run_fig45("compiled"), repeats)
+    # the pipeline runs figures45's default (GK ready, Cannon compiled
+    # replay); the reference runs both drivers on the message-level rescan
+    fig45_fast_s = _time(lambda: run_fig45(None), repeats)
     fig45_reference_s = _time(
-        lambda: _with_defaults(lambda: run_fig45(None), scheduler="rescan", macro=False),
+        lambda: run_fig45(SimConfig(scheduler="rescan", macro_collectives=False)),
         repeats,
     )
 

@@ -2,7 +2,10 @@
 
 Every algorithm module exposes a driver ``run_<name>(A, B, p, machine, ...)``
 returning a :class:`MatmulResult`: the numerically-exact product together
-with the simulated timing.  Every driver takes ``product: bool = True``;
+with the simulated timing.  Every driver takes ``config:
+SimConfig = SimConfig()`` — the engine's run options (scheduler, macro
+collectives, tracing, fault plan), forwarded unchanged to
+:class:`~repro.simulator.engine.Engine` — and ``product: bool = True``;
 callers that need only the timing pass ``product=False`` and get
 ``C=None``.  This module holds the pieces they share —
 processor-grid layouts (with hypercube subcube/Gray embeddings), cube

@@ -32,8 +32,7 @@ from repro.algorithms.base import (
 from repro.blockops.partition import BlockSpec, block_slices
 from repro.core.machine import MachineParams, NCUBE2_LIKE
 from repro.simulator.collectives import reduce_scatter_halving, shift_cyclic
-from repro.simulator.engine import Engine, RankInfo, SymmetrySpec
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import Engine, RankInfo, SimConfig, SymmetrySpec
 from repro.simulator.request import Compute
 from repro.simulator.topology import Hypercube, Topology, gray_code
 
@@ -87,9 +86,7 @@ def run_berntsen(
     topology: Topology | None = None,
     *,
     enforce_concurrency_limit: bool = True,
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on ``p = 2**(3q)`` simulated processors (Berntsen).
@@ -192,14 +189,7 @@ def run_berntsen(
         }
     )
 
-    sim = Engine(
-        topo,
-        machine,
-        trace=trace,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        symmetry=symmetry,
-    ).run(factories)
+    sim = Engine(topo, machine, config=config, symmetry=symmetry).run(factories)
 
     # Reassemble: for each grid position the summed C block lives striped
     # (by flattened-word interval) across the nsub corresponding ranks.

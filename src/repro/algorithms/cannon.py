@@ -31,8 +31,7 @@ from repro.algorithms.base import (
 from repro.blockops.partition import BlockSpec, int_sqrt
 from repro.core.machine import MachineParams, NCUBE2_LIKE
 from repro.simulator.collectives import my_index, shift_cyclic, words_of
-from repro.simulator.engine import Engine, RankInfo, SymmetrySpec
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import Engine, RankInfo, SimConfig, SymmetrySpec
 from repro.simulator.request import Compute, Recv, Send, SendAll
 from repro.simulator.topology import Topology
 
@@ -126,9 +125,7 @@ def run_cannon(
     *,
     align: str = "pre",
     overlap_shifts: bool = False,
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with Cannon's algorithm.
@@ -216,14 +213,7 @@ def run_cannon(
             stacked=stacked if product else None,
         )
 
-    sim = Engine(
-        topo,
-        machine,
-        trace=trace,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        symmetry=symmetry,
-    ).run(program)
+    sim = Engine(topo, machine, config=config, symmetry=symmetry).run(program)
 
     C = None
     if product:

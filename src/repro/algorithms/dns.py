@@ -40,8 +40,7 @@ from repro.simulator.collectives import (
     shift_cyclic,
     words_of,
 )
-from repro.simulator.engine import Engine, RankInfo
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import Engine, RankInfo, SimConfig
 from repro.simulator.request import Compute, Recv, Send
 from repro.simulator.topology import Hypercube, Topology, gray_code
 
@@ -189,9 +188,7 @@ def _run_cube(
     *,
     route_mode: str | None = None,
     broadcast: str = "binomial",
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Shared driver for the one-element DNS and GK algorithms."""
@@ -235,11 +232,8 @@ def _run_cube(
 
     # cube_route is position-dependent (relay ranks recv+send, bystanders
     # idle), so DNS/GK programs are not rank-symmetric: no SymmetrySpec,
-    # and scheduler="compiled" degrades to the ready scheduler.
-    sim = Engine(
-        topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
-        symmetry=None,
-    ).run(program)
+    # and a compiled config degrades to the ready scheduler.
+    sim = Engine(topo, machine, config=config).run(program)
 
     C = None
     if product:
@@ -258,9 +252,7 @@ def run_dns_one_per_element(
     machine: MachineParams = NCUBE2_LIKE,
     topology: Topology | None = None,
     *,
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply with the original DNS formulation: ``p = n^3``, one element per PE.
@@ -272,8 +264,7 @@ def run_dns_one_per_element(
     topo = topology or default_topology(n**3)
     return _run_cube(
         A, B, n, machine, topo, "dns",
-        trace=trace, scheduler=scheduler, fault_plan=fault_plan,
-        product=product,
+        config=config, product=product,
     )
 
 
@@ -369,9 +360,7 @@ def run_dns_block(
     machine: MachineParams = NCUBE2_LIKE,
     topology: Topology | None = None,
     *,
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply with the §4.5.2 DNS variant on ``p = n^2 * r`` processors.
@@ -428,10 +417,7 @@ def run_dns_block(
         )(info)
 
     # not rank-symmetric (cube_route relays) — see _run_cube
-    sim = Engine(
-        topo, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan,
-        symmetry=None,
-    ).run(program)
+    sim = Engine(topo, machine, config=config).run(program)
 
     C = None
     if product:

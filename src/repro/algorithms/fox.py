@@ -30,8 +30,7 @@ from repro.algorithms.base import (
 from repro.blockops.partition import BlockSpec, int_sqrt
 from repro.core.machine import MachineParams, NCUBE2_LIKE
 from repro.simulator.collectives import bcast_binomial, my_index, shift_cyclic, words_of
-from repro.simulator.engine import Engine, RankInfo, SymmetrySpec
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import Engine, RankInfo, SimConfig, SymmetrySpec
 from repro.simulator.request import Compute, Recv, Send
 from repro.simulator.topology import Topology
 
@@ -108,9 +107,7 @@ def run_fox(
     topology: Topology | None = None,
     *,
     broadcast: str = "ring",
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with Fox's algorithm.
@@ -156,14 +153,7 @@ def run_fox(
         }
     )
 
-    sim = Engine(
-        topo,
-        machine,
-        trace=trace,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        symmetry=symmetry,
-    ).run(factories)
+    sim = Engine(topo, machine, config=config, symmetry=symmetry).run(factories)
 
     C = None
     if product:

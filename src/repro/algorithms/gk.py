@@ -31,7 +31,7 @@ from repro.algorithms.base import MatmulResult, check_same_shape, default_topolo
 from repro.algorithms.dns import _run_cube
 from repro.blockops.partition import int_cbrt
 from repro.core.machine import CM5, MachineParams, NCUBE2_LIKE
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import SimConfig
 from repro.simulator.topology import FullyConnected, Topology
 
 __all__ = ["run_gk", "run_gk_cm5", "gk_cube_side"]
@@ -51,9 +51,7 @@ def run_gk(
     *,
     route_mode: str | None = None,
     broadcast: str = "binomial",
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with the GK algorithm.
@@ -67,8 +65,8 @@ def run_gk(
     GK" large-message schemes (:mod:`repro.simulator.jho`).
 
     Like DNS, GK's stage-1 cube routing is position-dependent, so the
-    program is not rank-symmetric and ``scheduler="compiled"`` degrades
-    to the ready scheduler (``sim.compile_fallback`` records why).
+    program is not rank-symmetric and a ``SimConfig(scheduler="compiled")``
+    run degrades to the ready scheduler (``sim.compile_fallback`` records why).
     """
     n = check_same_shape(A, B)
     r = gk_cube_side(p)
@@ -77,8 +75,7 @@ def run_gk(
     topo = topology or default_topology(p)
     result = _run_cube(
         A, B, r, machine, topo, "gk", route_mode=route_mode,
-        broadcast=broadcast, trace=trace, scheduler=scheduler,
-        fault_plan=fault_plan, product=product,
+        broadcast=broadcast, config=config, product=product,
     )
     return result
 
@@ -89,9 +86,7 @@ def run_gk_cm5(
     p: int,
     machine: MachineParams = CM5,
     *,
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """The Section 9 configuration: GK on a fully connected CM-5 model.
@@ -101,5 +96,5 @@ def run_gk_cm5(
     """
     return run_gk(
         A, B, p, machine=machine, topology=FullyConnected(p), route_mode="direct",
-        trace=trace, scheduler=scheduler, fault_plan=fault_plan, product=product,
+        config=config, product=product,
     )

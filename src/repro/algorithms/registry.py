@@ -178,7 +178,8 @@ def feasible_algorithms(n: int, p: int) -> list[str]:
 def run(key: str, A: np.ndarray, B: np.ndarray, p: int, machine: MachineParams, **kw):
     """Run algorithm *key* on the given instance (convenience dispatcher).
 
-    Keywords go to the driver; ``product=False`` declares a timing-only
+    Keywords go to the driver: ``config=SimConfig(...)`` sets the
+    engine's run options, and ``product=False`` declares a timing-only
     run (``C is None``) on every algorithm.
     """
     return get(key).run(A, B, p, machine=machine, **kw)

@@ -30,8 +30,7 @@ from repro.simulator.collectives import (
     allgather_recursive_doubling,
     allgather_ring,
 )
-from repro.simulator.engine import Engine, RankInfo, SymmetrySpec
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import Engine, RankInfo, SimConfig, SymmetrySpec
 from repro.simulator.request import Compute
 from repro.simulator.topology import Mesh2D, Topology
 
@@ -71,9 +70,7 @@ def run_simple(
     machine: MachineParams = NCUBE2_LIKE,
     topology: Topology | None = None,
     *,
-    trace: bool = False,
-    scheduler: str | None = None,
-    fault_plan: FaultPlan | None = None,
+    config: SimConfig = SimConfig(),
     product: bool = True,
 ) -> MatmulResult:
     """Multiply *A* and *B* on *p* simulated processors with the simple algorithm.
@@ -119,14 +116,7 @@ def run_simple(
         }
     )
 
-    sim = Engine(
-        topo,
-        machine,
-        trace=trace,
-        scheduler=scheduler,
-        fault_plan=fault_plan,
-        symmetry=symmetry,
-    ).run(factories)
+    sim = Engine(topo, machine, config=config, symmetry=symmetry).run(factories)
 
     C = None
     if product:

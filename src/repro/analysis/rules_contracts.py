@@ -249,36 +249,31 @@ class WorkerGlobalCaptureRule(Rule):
 
 @register
 class DriverThreadingRule(Rule):
-    """DRIVER001: every algorithm driver threads scheduler= and fault_plan=.
+    """DRIVER001: every algorithm driver threads one ``config=`` to Engine.
 
     The three-scheduler bit-identity contract and the fault-injection
     layer are only testable through drivers that *expose* them: a driver
     that hardwires ``Engine(topo, machine)`` pins its algorithm to the
-    default scheduler and a fault-free world, so resilience experiments
-    and scheduler-equivalence fuzzing silently skip it.  Every public
-    ``run_*`` driver under ``repro/algorithms/`` must accept both
-    keywords, and every ``Engine(...)`` construction there must forward
-    both.
+    default :class:`~repro.simulator.engine.SimConfig`, so resilience
+    experiments and scheduler-equivalence fuzzing silently skip it.
+    Every public ``run_*`` driver under ``repro/algorithms/`` must accept
+    a ``config`` parameter, and every ``Engine(...)`` construction there
+    must pass ``config=``.
     """
 
     rule_id = "DRIVER001"
     name = "driver-threading"
-    description = (
-        "algorithm drivers must accept and forward scheduler= and "
-        "fault_plan= to Engine"
-    )
+    description = "algorithm drivers must accept and forward config= to Engine"
     severity = "error"
     fix = (
-        "Add `scheduler: str | None = None` and `fault_plan: FaultPlan "
-        "| None = None` keyword-only parameters and pass both to the "
-        "Engine(...) construction (or to the shared driver helper)."
+        "Add a `config: SimConfig = SimConfig()` keyword-only parameter "
+        "and pass `config=config` to the Engine(...) construction (or to "
+        "the shared driver helper)."
     )
     example = (
         "def run_newalg(A, B, p, machine, *, trace=False):\n"
-        "    sim = Engine(topo, machine, trace=trace).run(factories)  # not threadable\n"
+        "    sim = Engine(topo, machine).run(factories)  # not threadable\n"
     )
-
-    _REQUIRED = ("scheduler", "fault_plan")
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         for mod in program.modules.values():
@@ -286,22 +281,17 @@ class DriverThreadingRule(Rule):
                 continue
             for local, fn in mod.functions.items():
                 if "." not in local and local.startswith("run_"):
+                    args = fn.node.args
                     params = {
-                        a.arg
-                        for a in [
-                            *fn.node.args.posonlyargs,
-                            *fn.node.args.args,
-                            *fn.node.args.kwonlyargs,
-                        ]
+                        a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
                     }
-                    missing = [r for r in self._REQUIRED if r not in params]
-                    if missing:
+                    if "config" not in params:
                         yield self.finding(
                             mod.source,
                             fn.node,
-                            f"driver {fn.qualname}() does not accept "
-                            f"{'/'.join(missing)}; scheduler-equivalence and "
-                            "resilience sweeps cannot reach this algorithm",
+                            f"driver {fn.qualname}() does not accept config; "
+                            "scheduler-equivalence and resilience sweeps "
+                            "cannot reach this algorithm",
                         )
             for fn in mod.functions.values():
                 for node in ast.walk(fn.node):
@@ -310,13 +300,11 @@ class DriverThreadingRule(Rule):
                     name = dotted_name(node.func)
                     if name is None or name.split(".")[-1] != "Engine":
                         continue
-                    kwargs = {kw.arg for kw in node.keywords if kw.arg}
-                    missing = [r for r in self._REQUIRED if r not in kwargs]
-                    if missing:
+                    if not any(kw.arg == "config" for kw in node.keywords):
                         yield self.finding(
                             mod.source,
                             node,
                             f"Engine(...) in {fn.qualname}() does not forward "
-                            f"{'/'.join(missing)}; the driver pins its "
-                            "algorithm to the defaults",
+                            "config=; the driver pins its algorithm to the "
+                            "defaults",
                         )

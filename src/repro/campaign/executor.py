@@ -32,6 +32,7 @@ from repro.simulator.errors import (
     RankCrashError,
     UnrecoverableFaultError,
 )
+from repro.simulator.engine import SimConfig
 from repro.simulator.topology import FullyConnected, Topology
 
 __all__ = ["execute_scenario", "alt_scheduler_for", "simulate_rows"]
@@ -67,7 +68,7 @@ def _simulate_point(
     key: str,
     n: int,
     p: int,
-    scheduler: str,
+    config: SimConfig,
     A: np.ndarray,
     B: np.ndarray,
     C_ref: np.ndarray | None,
@@ -75,12 +76,11 @@ def _simulate_point(
     """One ``(algorithm, n, p)`` simulation as a flat JSON-stable row."""
     entry = registry.get(key)
     model = MODELS[entry.model_key]
-    plan = scenario.fault_plan
     row: dict[str, Any] = {
         "algorithm": key,
         "n": n,
         "p": p,
-        "scheduler": scheduler,
+        "scheduler": config.scheduler,
         "outcome": "ok",
         "error": None,
         "T_sim": None,
@@ -100,8 +100,7 @@ def _simulate_point(
             A, B, p,
             machine=scenario.machine,
             topology=_topology_for(scenario.topology, p),
-            scheduler=scheduler,
-            fault_plan=None if plan.is_null else plan,
+            config=config,
             product=C_ref is not None,
         )
     except tuple(exc for exc, _ in _SIGNATURES) as exc:
@@ -133,6 +132,8 @@ def simulate_rows(scenario: Scenario, scheduler: str) -> list[dict[str, Any]]:
     — the sweep-harness convention — so a scenario's rows are directly
     comparable with ``sweep()`` rows at the same coordinates.
     """
+    plan = scenario.fault_plan
+    config = SimConfig(scheduler=scheduler, fault_plan=None if plan.is_null else plan)
     rows = []
     operands: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
     for key, n, p in scenario.points():
@@ -141,7 +142,7 @@ def simulate_rows(scenario: Scenario, scheduler: str) -> list[dict[str, Any]]:
             A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
             operands[n] = (A, B, A @ B if scenario.verify else None)
         A, B, C_ref = operands[n]
-        rows.append(_simulate_point(scenario, key, n, p, scheduler, A, B, C_ref))
+        rows.append(_simulate_point(scenario, key, n, p, config, A, B, C_ref))
     return rows
 
 

@@ -46,7 +46,7 @@ from repro.core.cache import cache_stats, configure_disk_cache
 from repro.core.isoefficiency import isoefficiency
 from repro.core.machine import PRESETS, MachineParams
 from repro.core.memory import memory_table
-from repro.simulator.engine import SCHEDULERS
+from repro.simulator.engine import SCHEDULERS, SimConfig
 from repro.core.models import MODELS
 from repro.core.regions import region_map
 from repro.core.selector import select
@@ -73,7 +73,7 @@ def _machine_from_args(args) -> MachineParams:
 
 def _add_scheduler_arg(sub) -> None:
     sub.add_argument(
-        "--scheduler", choices=SCHEDULERS, default=None,
+        "--scheduler", choices=SCHEDULERS, default="ready",
         help="engine scheduler (results are bit-identical; 'ready' is the "
         "dynamic default, 'rescan' the reference oracle, 'compiled' replays "
         "rank-symmetric programs as vectorized batch schedules and carries "
@@ -226,7 +226,8 @@ def _cmd_run(args) -> str:
             f"{args.algorithm} cannot run n={args.n}, p={args.p} "
             f"(feasible here: {registry.feasible_algorithms(args.n, args.p)})"
         )
-    result = entry.run(A, B, args.p, machine=machine, scheduler=args.scheduler)
+    config = SimConfig(scheduler=args.scheduler)
+    result = entry.run(A, B, args.p, machine=machine, config=config)
     ok = np.allclose(result.C, A @ B)
     model = MODELS[entry.model_key]
     return format_kv(
@@ -333,7 +334,8 @@ def _cmd_gantt(args) -> str:
     rng = np.random.default_rng(0)
     A = rng.standard_normal((args.n, args.n))
     B = rng.standard_normal((args.n, args.n))
-    result = entry.run(A, B, args.p, machine=machine, trace=True, scheduler=args.scheduler)
+    config = SimConfig(scheduler=args.scheduler, trace=True)
+    result = entry.run(A, B, args.p, machine=machine, config=config)
     return gantt_chart(result.sim.trace, width=args.width)
 
 

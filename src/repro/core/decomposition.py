@@ -116,7 +116,7 @@ def communication_by_kind(sim: SimResult) -> dict[str, float]:
     """
     if not sim.trace.events:
         if any(s.busy_time > 0 for s in sim.stats):
-            raise ValueError("run has no trace; pass trace=True to the driver")
+            raise ValueError("run has no trace; pass config=SimConfig(trace=True) to the driver")
         return {}
     out: dict[str, float] = {}
     for ev in sim.trace.events:
@@ -131,11 +131,11 @@ def communication_by_tag(sim: SimResult) -> dict[int, float]:
     algorithm uses 10/20 for the A route/broadcast, 30/40 for B, 50 for
     the reduction), so this attributes communication time to algorithm
     stages — the per-term structure the Section 4 expressions assert.
-    Requires tracing (``trace=True`` on the driver).
+    Requires tracing (``config=SimConfig(trace=True)`` on the driver).
     """
     if not sim.trace.events:
         if any(s.busy_time > 0 for s in sim.stats):
-            raise ValueError("run has no trace; pass trace=True to the driver")
+            raise ValueError("run has no trace; pass config=SimConfig(trace=True) to the driver")
         return {}
     out: dict[int, float] = {}
     for ev in sim.trace.events:

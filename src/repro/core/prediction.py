@@ -300,6 +300,7 @@ def simulated_prediction(
     reports ``verified: None``.
     """
     from repro.algorithms import registry
+    from repro.simulator.engine import SimConfig
 
     entry = registry.get(algorithm)
     if not entry.feasible(n, p):
@@ -310,12 +311,13 @@ def simulated_prediction(
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
-    kw: dict[str, Any] = {} if scheduler is None else {"scheduler": scheduler}
-    if scheduler == "compiled" and entry.rank_symmetric and not entry.compiled_product:
-        # a product would send the job to ready (minutes at p = 65536);
-        # the compiled replay answers in seconds, timing only
-        kw["product"] = False
-    res = entry.run(A, B, p, machine=machine, **kw)
+    config = SimConfig() if scheduler is None else SimConfig(scheduler=scheduler)
+    # a product would send a compiled job to ready (minutes at p = 65536);
+    # the compiled replay answers in seconds, timing only
+    product = not (
+        scheduler == "compiled" and entry.rank_symmetric and not entry.compiled_product
+    )
+    res = entry.run(A, B, p, machine=machine, config=config, product=product)
     model = MODELS[entry.model_key]
     applicable = bool(model.applicable(n, p))
     return {

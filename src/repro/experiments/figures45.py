@@ -29,6 +29,7 @@ from repro.algorithms.gk import run_gk_cm5
 from repro.core.machine import CM5, MachineParams
 from repro.core.models import MODELS
 from repro.experiments.report import format_table
+from repro.simulator.engine import SimConfig
 from repro.simulator.topology import FullyConnected
 
 __all__ = ["EfficiencyCurves", "run_fig4", "run_fig5", "format_text"]
@@ -85,7 +86,7 @@ def _sim_point(
     machine: MachineParams,
     seed: int,
     verify: bool,
-    cannon_scheduler: str | None = "compiled",
+    config: SimConfig | None,
 ) -> dict:
     """One matrix size of a figure (module-level so it pickles to workers).
 
@@ -95,13 +96,13 @@ def _sim_point(
     rng = np.random.default_rng((seed, n))
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
-    res_gk = run_gk_cm5(A, B, p_gk, machine=machine)
-    # Cannon is rank-symmetric: by default compiled replay carries its
-    # blocks through the batch schedule (C and timing bit-identical to the
-    # ready run); GK is not, so it runs on the process's dynamic scheduler
+    # by default Cannon, which is rank-symmetric, replays compiled with its
+    # blocks carried through the batch schedule (C and timing bit-identical
+    # to the ready run); GK is not, so it runs on the ready scheduler
+    res_gk = run_gk_cm5(A, B, p_gk, machine=machine, config=config or SimConfig())
     res_cn = run_cannon(
         A, B, p_cannon, machine=machine, topology=FullyConnected(p_cannon),
-        scheduler=cannon_scheduler,
+        config=config or SimConfig(scheduler="compiled"),
     )
     if verify:
         expected = A @ B
@@ -127,9 +128,9 @@ def _run_figure(
     seed: int = 0,
     verify: bool = True,
     jobs: int = 1,
-    cannon_scheduler: str | None = "compiled",
+    config: SimConfig | None = None,
 ) -> EfficiencyCurves:
-    args = (p_gk, p_cannon, machine, seed, verify, cannon_scheduler)
+    args = (p_gk, p_cannon, machine, seed, verify, config)
     if jobs > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(sizes))) as pool:
             futures = [pool.submit(_sim_point, n, *args) for n in sizes]
@@ -154,17 +155,18 @@ def run_fig4(
     sizes=_FIG4_SIZES,
     seed: int = 0,
     jobs: int = 1,
-    cannon_scheduler: str | None = "compiled",
+    config: SimConfig | None = None,
 ) -> EfficiencyCurves:
     """Figure 4: Cannon vs GK at ``p = 64`` on the simulated CM-5.
 
-    *cannon_scheduler* picks Cannon's scheduler (``None``: the engine
-    default, like GK); every choice gives the same rows.
+    With *config* left ``None`` GK runs on the ready scheduler and Cannon
+    as a compiled replay; an explicit *config* runs both drivers under
+    it.  Every choice gives the same rows.
     """
     return _run_figure(
         "fig4", sizes, 64, 64, machine,
         paper_predicted=83.0, paper_measured=96.0, seed=seed, jobs=jobs,
-        cannon_scheduler=cannon_scheduler,
+        config=config,
     )
 
 
@@ -173,16 +175,16 @@ def run_fig5(
     sizes=_FIG5_SIZES,
     seed: int = 0,
     jobs: int = 1,
-    cannon_scheduler: str | None = "compiled",
+    config: SimConfig | None = None,
 ) -> EfficiencyCurves:
     """Figure 5: Cannon at ``p = 484`` vs GK at ``p = 512`` on the simulated CM-5.
 
-    *cannon_scheduler* as in :func:`run_fig4`.
+    *config* as in :func:`run_fig4`.
     """
     return _run_figure(
         "fig5", sizes, 512, 484, machine,
         paper_predicted=295.0, paper_measured=None, seed=seed, jobs=jobs,
-        cannon_scheduler=cannon_scheduler,
+        config=config,
     )
 
 

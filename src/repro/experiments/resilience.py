@@ -26,7 +26,7 @@ bit-identical to the Figure 4 pipeline (the fuzz gate pins that).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.algorithms.gk import run_gk_cm5
 from repro.core.machine import CM5, MachineParams
 from repro.core.metrics import young_checkpoint_interval
 from repro.experiments.report import format_table
+from repro.simulator.engine import SimConfig
 from repro.simulator.faults import FaultPlan
 from repro.simulator.topology import FullyConnected
 
@@ -92,15 +93,13 @@ def _run_one(
     B: np.ndarray,
     p: int,
     machine: MachineParams,
-    plan: FaultPlan | None,
-    scheduler: str | None,
+    config: SimConfig,
 ) -> MatmulResult:
     if name == "cannon":
         return run_cannon(
-            A, B, p, machine=machine, topology=FullyConnected(p), fault_plan=plan,
-            scheduler=scheduler,
+            A, B, p, machine=machine, topology=FullyConnected(p), config=config
         )
-    return run_gk_cm5(A, B, p, machine=machine, fault_plan=plan, scheduler=scheduler)
+    return run_gk_cm5(A, B, p, machine=machine, config=config)
 
 
 def _run_pair(
@@ -108,12 +107,11 @@ def _run_pair(
     B: np.ndarray,
     p: int,
     machine: MachineParams,
-    plan: FaultPlan | None,
-    scheduler: str | None,
+    config: SimConfig,
 ) -> dict[str, MatmulResult]:
-    """Both algorithms at the same operating point under the same plan."""
+    """Both algorithms at the same operating point under the same config."""
     return {
-        name: _run_one(name, A, B, p, machine, plan, scheduler)
+        name: _run_one(name, A, B, p, machine, config)
         for name in ("cannon", "gk")
     }
 
@@ -138,7 +136,7 @@ def run(
     recovery costs are fixed small fractions of the fault-free runtime
     so the interval sweep exposes the classic U-shaped tradeoff.
 
-    *scheduler* selects the engine core (``None`` = engine default).
+    *scheduler* selects the engine core (``None`` runs ``"ready"``).
     Fault-active runs are bit-identical between the reference (rescan)
     and ready schedulers — ``ready`` runs its exact loop under a plan —
     so the report's curves do not depend on it; the choice only changes
@@ -146,8 +144,9 @@ def run(
     """
     A, B = _operands(n, seed)
     expected = A @ B if verify else None
+    config = SimConfig() if scheduler is None else SimConfig(scheduler=scheduler)
 
-    base = _run_pair(A, B, p, machine, None, scheduler)
+    base = _run_pair(A, B, p, machine, config)
     if expected is not None:
         for name, res in base.items():
             if not np.allclose(res.C, expected):
@@ -167,7 +166,7 @@ def run(
             results = base
         else:
             plan = FaultPlan(seed=seed, drop_rate=rate, timeout=timeout)
-            results = _run_pair(A, B, p, machine, plan, scheduler)
+            results = _run_pair(A, B, p, machine, replace(config, fault_plan=plan))
             if expected is not None:
                 for name, res in results.items():
                     if not np.allclose(res.C, expected):
@@ -208,7 +207,7 @@ def run(
                 checkpoint_cost=ckpt_cost[name],
                 recovery_cost=recovery[name],
             )
-            res = _run_one(name, A, B, p, machine, plan, scheduler)
+            res = _run_one(name, A, B, p, machine, replace(config, fault_plan=plan))
             if expected is not None and not np.allclose(res.C, expected):
                 raise AssertionError(f"numerical mismatch in {name} at factor={factor}")
             row[f"interval_{name}"] = factor * young[name]

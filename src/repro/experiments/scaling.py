@@ -25,6 +25,7 @@ from repro.core.isoefficiency import isoefficiency
 from repro.core.machine import MachineParams
 from repro.core.models import MODELS
 from repro.experiments.report import format_table
+from repro.simulator.engine import SimConfig
 
 __all__ = [
     "speedup_curve",
@@ -139,13 +140,13 @@ def scaled_speedup(
     These are the largest complete simulations in the repo (4096 live
     rank generators by default, 16384-65536 through compiled replay);
     the array-backed engine core, the macro-collective fast path, and
-    the trace compiler are what keep them tractable.  *scheduler* is
-    forwarded to the engine (``None`` keeps the process default;
-    ``"compiled"`` is what ``scaling-large`` uses — see
-    docs/performance.md).  *verify* checks every product against
-    ``A @ B``; without it the drivers run with ``product=False`` and no
-    product is built on any scheduler.
+    the trace compiler are what keep them tractable.  *scheduler* picks
+    the engine scheduler (``None`` runs ``"ready"``; ``"compiled"`` is
+    what ``scaling-large`` uses — see docs/performance.md).  *verify*
+    checks every product against ``A @ B``; without it the drivers run
+    with ``product=False`` and no product is built on any scheduler.
     """
+    config = SimConfig() if scheduler is None else SimConfig(scheduler=scheduler)
     rng = np.random.default_rng(seed)
     rows = []
     for p in p_values:
@@ -157,9 +158,7 @@ def scaled_speedup(
             raise ValueError(f"{key} infeasible at n={n}, p={p}")
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        res = registry.run(
-            key, A, B, p, machine, scheduler=scheduler, product=verify
-        )
+        res = registry.run(key, A, B, p, machine, config=config, product=verify)
         if verify:
             assert np.allclose(res.C, A @ B)
         rows.append(
@@ -190,20 +189,18 @@ def run_large_p(
     p_values: tuple[int, ...] = (64, 256, 1024, 4096),
     n0: int = 8,
     verify: bool = True,
-    scheduler: str | None = None,
+    scheduler: str = "compiled",
 ) -> dict[str, list[dict]]:
     """The ``scaling-large`` experiment: scaled speedup on big machines.
 
-    Every *p* in *p_values* must be a perfect square.  With *scheduler*
-    left ``None`` the experiment uses the trace compiler
-    (``"compiled"``), whose batch replay carries the sweep to 65536+
+    Every *p* in *p_values* must be a perfect square.  By default
+    (*scheduler* ``"compiled"``) the experiment uses the trace compiler,
+    whose batch replay carries the sweep to 65536+
     ranks.  Verified runs move Cannon's blocks through the same replay
     and check ``C``; ``verify=False`` runs pass ``product=False`` and
     build no payloads (``make scale-16k-smoke`` runs the verified 16k
     point in CI, ``make scale-64k-smoke`` the timing-only 64k point).
     """
-    if scheduler is None:
-        scheduler = "compiled"
     return {
         "scaled_cannon": scaled_speedup(
             "cannon", n0=n0, p_values=p_values, machine=machine,

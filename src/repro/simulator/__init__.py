@@ -19,7 +19,7 @@ from repro.simulator.collectives import (
     words_of,
 )
 from repro.simulator.compile import BatchSchedule, CompileFallback, SymmetrySpec
-from repro.simulator.engine import Engine, RankInfo, SimResult, run_spmd
+from repro.simulator.engine import Engine, RankInfo, SimConfig, SimResult, run_spmd
 from repro.simulator.errors import (
     DeadlockError,
     ProgramError,
@@ -49,6 +49,7 @@ from repro.simulator.trace import RankStats, Trace, TraceEvent
 
 __all__ = [
     "Engine",
+    "SimConfig",
     "RankInfo",
     "SimResult",
     "run_spmd",

@@ -39,7 +39,7 @@ parked group of one kind and size in one vectorized clock/stats update
 message-level path below — same clocks, same per-rank accounts, same
 message/word totals, same payload aliasing.  The message-level
 implementations remain the reference, selected with
-``macro_collectives=False``: the fuzz suite pins the two paths against
+``SimConfig(macro_collectives=False)``: the fuzz suite pins the two paths against
 each other.
 """
 

@@ -61,8 +61,13 @@ every parked group is charged at once — one vectorized call per
 ``(kind, group size)`` over all concurrent groups
 (:mod:`repro.simulator.macro`) — before the barrier and deadlock checks.
 
-Scheduler selection
--------------------
+Run configuration
+-----------------
+
+Every run option lives on one frozen :class:`SimConfig`, passed to
+:class:`Engine` (or to a ``run_*`` algorithm driver, which forwards it)
+when the run is built; the engine keeps no process-wide defaults, so a
+run states the scheduler and collective path it asked for.
 
 ``link_contention`` mode always runs the rescan scheduler: link
 reservations are granted in scheduler order, so the reference order is
@@ -112,8 +117,7 @@ __all__ = [
     "SimResult",
     "Engine",
     "run_spmd",
-    "DEFAULT_SCHEDULER",
-    "DEFAULT_MACRO_COLLECTIVES",
+    "SimConfig",
     "SCHEDULERS",
     "SymmetrySpec",
 ]
@@ -124,15 +128,44 @@ __all__ = [
 #: back to ``"ready"`` when the program cannot be compiled.
 SCHEDULERS: tuple[str, ...] = ("ready", "rescan", "compiled")
 
-#: Process-wide default used when ``Engine(scheduler=None)``.  Benchmarks
-#: flip this to ``"rescan"`` to time the seed scheduler without plumbing
-#: an option through every algorithm driver.
-DEFAULT_SCHEDULER: str = "ready"
 
-#: Process-wide default used when ``Engine(macro_collectives=None)``.
-#: Benchmarks flip this to ``False`` to time the message-level reference
-#: collectives under the same scheduler.
-DEFAULT_MACRO_COLLECTIVES: bool = True
+@dataclass(frozen=True)
+class SimConfig:
+    """The run options of one simulation.
+
+    Frozen and picklable, so one config is built by the caller and
+    reaches process-pool workers unchanged.
+    """
+
+    scheduler: str = "ready"
+    """One of :data:`SCHEDULERS` (see the module docstring)."""
+
+    macro_collectives: bool = True
+    """Run collectives as :class:`CollectiveOp` macro requests.  Honored
+    only when tracing, link contention, and faults are off and the ready
+    or compiled scheduler runs (the reference paths stay exact);
+    ``False`` times the message-level reference collectives."""
+
+    trace: bool = False
+    """Record a :class:`Trace` of every event."""
+
+    max_trace_events: int = 1_000_000
+    """Cap on recorded trace events."""
+
+    link_contention: bool = False
+    """Every message reserves its route's directed links for the
+    transfer duration and conflicting transfers serialize (see
+    :mod:`repro.simulator.network`); the paper's model assumes
+    conflict-free patterns, and this mode lets tests verify that."""
+
+    fault_plan: FaultPlan | None = None
+    """Deterministic fault schedule; when set, the ready scheduler runs
+    its exact loop (every request charged through the reference helpers)
+    and macro collectives are disabled."""
+
+    def __post_init__(self) -> None:
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown scheduler {self.scheduler!r}; known: {SCHEDULERS}")
 
 
 @dataclass(frozen=True)
@@ -295,36 +328,15 @@ class Engine:
         self,
         topology: Topology,
         machine: MachineParams,
+        config: SimConfig = SimConfig(),
         *,
-        trace: bool = False,
-        max_trace_events: int = 1_000_000,
-        link_contention: bool = False,
-        scheduler: str | None = None,
-        macro_collectives: bool | None = None,
-        fault_plan: FaultPlan | None = None,
         symmetry: SymmetrySpec | None = None,
     ) -> None:
         self.topology = topology
         self.machine = machine
-        self.trace = Trace(enabled=trace, max_events=max_trace_events)
-        #: when enabled, every message reserves its route's directed links
-        #: for the transfer duration and conflicting transfers serialize
-        #: (see repro.simulator.network); the paper's model assumes
-        #: conflict-free patterns, and this mode lets tests verify that.
-        self.link_contention = link_contention
+        self.config = config
+        self.trace = Trace(enabled=config.trace, max_events=config.max_trace_events)
         self.links: LinkReservations | None = None
-        if scheduler is not None and scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}")
-        self.scheduler = scheduler
-        #: ``None`` defers to :data:`DEFAULT_MACRO_COLLECTIVES`; the flag
-        #: is only honored when tracing, link contention, and faults are
-        #: off and the ready or compiled scheduler runs (the reference
-        #: paths stay exact).
-        self.macro_collectives = macro_collectives
-        #: deterministic fault schedule; when set, the ready scheduler
-        #: runs its exact loop (every request charged through the
-        #: reference helpers) and macro collectives are disabled.
-        self.fault_plan = fault_plan
         #: rank-symmetry annotation consumed by ``scheduler="compiled"``;
         #: without one, a compiled request falls straight back to ready.
         self.symmetry = symmetry
@@ -359,31 +371,25 @@ class Engine:
             if len(factories) != p:
                 raise ValueError(f"need {p} programs, got {len(factories)}")
 
-        scheduler = self.scheduler or DEFAULT_SCHEDULER
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}")
+        config = self.config
+        scheduler = config.scheduler
         compile_fallback: str | None = None
         if scheduler == "compiled":
             compile_fallback = self._compiled_blocker()
             if compile_fallback is not None:
                 scheduler = "ready"
-        if self.link_contention:
+        if config.link_contention:
             # reservation order is defined by the reference scheduler
             # (see the module docstring)
             scheduler = "rescan"
-        macro = (
-            self.macro_collectives
-            if self.macro_collectives is not None
-            else DEFAULT_MACRO_COLLECTIVES
-        )
         macro_ok = (
-            macro
+            config.macro_collectives
             and scheduler != "rescan"  # also excludes link contention
-            and not self.trace.enabled
-            and self.fault_plan is None
+            and not config.trace
+            and config.fault_plan is None
         )
         self._faults = (
-            self.fault_plan.compile(p) if self.fault_plan is not None else None
+            config.fault_plan.compile(p) if config.fault_plan is not None else None
         )
 
         if scheduler == "compiled":
@@ -453,7 +459,7 @@ class Engine:
         self._dist.clear()
         self._pending_collectives.clear()
         self._completed_collectives.clear()
-        self.links = LinkReservations() if self.link_contention else None
+        self.links = LinkReservations() if config.link_contention else None
 
         if scheduler == "rescan":
             self._run_rescan(states)
@@ -490,11 +496,11 @@ class Engine:
                 "no SymmetrySpec provided (driver does not declare rank "
                 "symmetry, or cannot carry the requested product)"
             )
-        if self.trace.enabled:
+        if self.config.trace:
             return "tracing enabled"
-        if self.link_contention:
+        if self.config.link_contention:
             return "link contention enabled"
-        if self.fault_plan is not None:
+        if self.config.fault_plan is not None:
             return "active fault plan"
         return None
 
@@ -1031,20 +1037,9 @@ def run_spmd(
     topology: Topology,
     machine: MachineParams,
     factory: ProgramFactory | Iterable[ProgramFactory],
+    config: SimConfig = SimConfig(),
     *,
-    trace: bool = False,
-    scheduler: str | None = None,
-    macro_collectives: bool | None = None,
-    fault_plan: FaultPlan | None = None,
     symmetry: SymmetrySpec | None = None,
 ) -> SimResult:
     """One-shot convenience wrapper around :class:`Engine`."""
-    return Engine(
-        topology,
-        machine,
-        trace=trace,
-        scheduler=scheduler,
-        macro_collectives=macro_collectives,
-        fault_plan=fault_plan,
-        symmetry=symmetry,
-    ).run(factory)
+    return Engine(topology, machine, config, symmetry=symmetry).run(factory)

@@ -48,9 +48,10 @@ A zero-rate plan is *exactly* free: every hook returns its input
 unchanged (no float is re-derived), so running with
 ``FaultPlan()`` is bit-identical to running with no plan at all — the
 fuzz suite pins this against both schedulers and the macro collective
-fast path.  An active plan forces the reference (rescan) scheduler and
-disables macro collectives, like ``link_contention`` does, because the
-recovery timeline is part of the deterministic contract.
+fast path.  An active plan (``SimConfig(fault_plan=...)``) charges every
+request through the engine's reference helpers and disables macro
+collectives, like ``link_contention`` does, because the recovery
+timeline is part of the deterministic contract.
 """
 
 from __future__ import annotations

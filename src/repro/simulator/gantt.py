@@ -29,10 +29,10 @@ def gantt_chart(
 
     *width* columns span ``[0, t_max]`` (default: the last event's end).
     When several events map to one cell, the most recently started wins.
-    Requires a trace recorded with ``Engine(..., trace=True)``.
+    Requires a trace recorded with ``SimConfig(trace=True)``.
     """
     if not trace.events:
-        return "(empty trace - run with trace=True)"
+        return "(empty trace - run with SimConfig(trace=True))"
     end = t_max if t_max is not None else max(e.end for e in trace.events)
     if end <= 0:
         return "(trace has zero duration)"

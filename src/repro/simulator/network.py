@@ -5,7 +5,7 @@ what else is in flight — justified by choosing communication patterns
 whose paths do not conflict ("a simple one-to-one communication along
 non-conflicting paths", Section 4.2).  This module lets the simulator
 *check* that justification instead of assuming it: with
-``Engine(..., link_contention=True)`` every message reserves the
+``SimConfig(link_contention=True)`` every message reserves the
 directed links of a deterministic minimal route for its transfer
 duration, and messages that share a link serialize.
 

@@ -142,10 +142,10 @@ def test_mutated_global_not_read_by_worker_is_clean():
     ) == []
 
 
-# -- DRIVER001: scheduler/fault_plan threading --------------------------------------
+# -- DRIVER001: config threading ----------------------------------------------------
 
 
-def test_driver_missing_fault_plan_fires_twice():
+def test_driver_without_config_fires_twice():
     findings = analyze_source(
         textwrap.dedent(
             """
@@ -163,10 +163,8 @@ def test_driver_missing_fault_plan_fires_twice():
 def test_fully_threaded_driver_is_clean():
     assert ids(
         """
-        def run_newalg(A, B, p, machine, *, trace=False, scheduler=None, fault_plan=None):
-            return Engine(
-                None, machine, trace=trace, scheduler=scheduler, fault_plan=fault_plan
-            ).run([])
+        def run_newalg(A, B, p, machine, *, config=SimConfig()):
+            return Engine(None, machine, config=config).run([])
         """,
         "src/repro/algorithms/probe.py",
         select=["DRIVER001"],
@@ -194,7 +192,7 @@ def test_contract_rules_clean_on_real_tree():
     assert report.findings == [], "\n".join(f.format() for f in report.findings)
 
 
-def test_every_registered_driver_threads_both_keywords():
+def test_every_registered_driver_threads_config():
     """Runtime cross-check of what DRIVER001 asserts statically."""
     import inspect
 
@@ -205,5 +203,4 @@ def test_every_registered_driver_threads_both_keywords():
         has_var_kw = any(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
         )
-        for required in ("scheduler", "fault_plan"):
-            assert required in params or has_var_kw, f"{key} driver lacks {required}="
+        assert "config" in params or has_var_kw, f"{key} driver lacks config="

@@ -12,6 +12,8 @@ closed form instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.algorithms.cannon import run_cannon
 from repro.core.machine import CM5, MachineParams, NCUBE2_LIKE
 from repro.experiments.figures45 import _FIG4_SIZES, _FIG5_SIZES
 from repro.simulator.compile import SymmetrySpec
-from repro.simulator.engine import Engine, RankInfo
+from repro.simulator.engine import Engine, RankInfo, SimConfig
 from repro.simulator.request import (
     Barrier,
     Checkpoint,
@@ -68,8 +70,8 @@ def test_fig45_has_23_cannon_points():
 def test_fig45_cannon_points_compiled_equal_ready(n, p):
     A, B = _operands(n, seed=7)
     kw = dict(machine=CM5, topology=FullyConnected(p))
-    res_c = run_cannon(A, B, p, scheduler="compiled", **kw)
-    res_d = run_cannon(A, B, p, scheduler="ready", **kw)
+    res_c = run_cannon(A, B, p, config=SimConfig(scheduler="compiled"), **kw)
+    res_d = run_cannon(A, B, p, config=SimConfig(scheduler="ready"), **kw)
     _assert_compiled_like_ready(res_c, res_d)
     np.testing.assert_allclose(res_c.C, A @ B, atol=1e-8 * n)
 
@@ -77,14 +79,14 @@ def test_fig45_cannon_points_compiled_equal_ready(n, p):
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("all_port", [False, True], ids=["one-port", "all-port"])
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial-shifts", "overlap-shifts"])
-def test_cannon_variants_compiled_equal_ready(overlap, all_port, macro, monkeypatch):
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
+def test_cannon_variants_compiled_equal_ready(overlap, all_port, macro):
     machine = MachineParams(ts=30.0, tw=2.0, th=1.0, all_port=all_port, name="m")
     for key, n, p in [("cannon", 16, 16), ("cannon", 32, 64)]:
         A, B = _operands(n)
         kw = dict(machine=machine, overlap_shifts=overlap)
-        res_c = run_cannon(A, B, p, scheduler="compiled", **kw)
-        res_d = run_cannon(A, B, p, scheduler="ready", **kw)
+        config = SimConfig(macro_collectives=macro)
+        res_c = run_cannon(A, B, p, config=replace(config, scheduler="compiled"), **kw)
+        res_d = run_cannon(A, B, p, config=config, **kw)
         _assert_compiled_like_ready(res_c, res_d)
 
 
@@ -92,9 +94,9 @@ def test_cannon_variants_compiled_equal_ready(overlap, all_port, macro, monkeypa
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
 def test_product_false_is_timing_only_on_every_driver(key, n, p, scheduler):
     A, B = _operands(n)
-    timing = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler,
-                          product=False)
-    full = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler="ready")
+    timing = registry.run(key, A, B, p, machine=NCUBE2_LIKE,
+                          config=SimConfig(scheduler=scheduler), product=False)
+    full = registry.run(key, A, B, p, machine=NCUBE2_LIKE, config=SimConfig(scheduler="ready"))
     assert timing.C is None
     assert timing.parallel_time == full.parallel_time
 
@@ -105,12 +107,12 @@ def test_product_false_is_timing_only_on_every_driver(key, n, p, scheduler):
 
 
 @pytest.mark.parametrize("key,n,p", [("simple", 16, 16), ("berntsen", 8, 8)])
-def test_product_without_stacked_program_falls_back(key, n, p, monkeypatch):
+def test_product_without_stacked_program_falls_back(key, n, p):
     A, B = _operands(n)
     timing = registry.run(key, A, B, p, machine=NCUBE2_LIKE,
-                          scheduler="compiled", product=False)
+                          config=SimConfig(scheduler="compiled"), product=False)
     assert timing.sim.compiled and timing.C is None
-    res = registry.run(key, A, B, p, machine=NCUBE2_LIKE, scheduler="compiled")
+    res = registry.run(key, A, B, p, machine=NCUBE2_LIKE, config=SimConfig(scheduler="compiled"))
     assert res.sim.compiled is False
     assert "no SymmetrySpec" in res.sim.compile_fallback
     assert res.C is not None
@@ -120,7 +122,7 @@ def test_product_without_stacked_program_falls_back(key, n, p, monkeypatch):
 
 def test_ragged_cannon_blocks_fall_back_with_product():
     A, B = _operands(18)  # 18 rows over a 4x4 grid: blocks of 5 and 4
-    res = run_cannon(A, B, 16, scheduler="compiled")
+    res = run_cannon(A, B, 16, config=SimConfig(scheduler="compiled"))
     assert res.sim.compiled is False
     assert res.sim.compile_fallback
     np.testing.assert_allclose(res.C, A @ B, atol=1e-7)
@@ -155,7 +157,7 @@ def _ring_run(p, stacked, scheduler="compiled"):
     blocks = np.arange(p * 4, dtype=np.float64).reshape(p, 4)
     factories = [_ring_body(r, p, blocks[r]) for r in range(p)]
     spec = _ring_spec(p, stacked=stacked)
-    return Engine(Hypercube(3), NCUBE2_LIKE, scheduler=scheduler,
+    return Engine(Hypercube(3), NCUBE2_LIKE, SimConfig(scheduler=scheduler),
                   symmetry=spec).run(factories), blocks
 
 
@@ -240,7 +242,7 @@ def test_compiled_cannon_matches_closed_form(p, overlap):
     b = 2
     A, B = _operands(s * b)
     res = run_cannon(A, B, p, machine=ORACLE_MACHINE, topology=FullyConnected(p),
-                     overlap_shifts=overlap, scheduler="compiled", product=False)
+                     overlap_shifts=overlap, config=SimConfig(scheduler="compiled"), product=False)
     assert res.sim.compiled, res.sim.compile_fallback
     assert res.C is None
     assert res.sim.returns == [None] * p
@@ -255,7 +257,7 @@ def test_closed_form_matches_ready_where_ready_runs(overlap):
     p, b = 64, 3
     A, B = _operands(8 * b)
     res = run_cannon(A, B, p, machine=ORACLE_MACHINE, topology=FullyConnected(p),
-                     overlap_shifts=overlap, scheduler="ready")
+                     overlap_shifts=overlap, config=SimConfig(scheduler="ready"))
     assert res.parallel_time == pytest.approx(
         cannon_one_port_time(8, b, ORACLE_MACHINE, overlap=overlap), rel=1e-12
     )
@@ -275,7 +277,7 @@ def test_non_shift_macro_collective_payloads_fall_back(monkeypatch):
         return body
 
     spec = _ring_spec(p, stacked=make(blocks, np.arange(p)))
-    res = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="compiled", symmetry=spec).run(
+    res = Engine(Hypercube(3), NCUBE2_LIKE, SimConfig(scheduler="compiled"), symmetry=spec).run(
         [make(blocks[r], r) for r in range(p)]
     )
     assert res.compiled is False
@@ -315,7 +317,7 @@ def test_compiled_cannon_builds_programs_only_for_probes(monkeypatch):
     schedules = _capture_schedules(monkeypatch)
     p = 16384
     A, B = _operands(128)
-    res = run_cannon(A, B, p, scheduler="compiled", product=False)
+    res = run_cannon(A, B, p, config=SimConfig(scheduler="compiled"), product=False)
     assert res.sim.compiled, res.sim.compile_fallback
     (schedule,) = schedules
     assert any(isinstance(ph, SymCollective) for ph in schedule.phases)
@@ -326,12 +328,12 @@ def test_message_level_schedule_shares_routing_and_frees_arrivals(monkeypatch):
     """Without macro shifts every roll is a Send/Recv pair; the schedule
     holds one read-only dst vector per roll direction, and replay drops
     each arrival vector once its receive has read it."""
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", False)
     schedules = _capture_schedules(monkeypatch)
     p = 1024
     A, B = _operands(64)
-    res_c = run_cannon(A, B, p, scheduler="compiled", product=False)
-    res_d = run_cannon(A, B, p, scheduler="ready", product=False)
+    message_level = SimConfig(macro_collectives=False)
+    res_c = run_cannon(A, B, p, config=replace(message_level, scheduler="compiled"), product=False)
+    res_d = run_cannon(A, B, p, config=message_level, product=False)
     assert res_c.sim.compiled, res_c.sim.compile_fallback
     (schedule,) = schedules
     sends = [ph for ph in schedule.phases if isinstance(ph, SymSend)]
@@ -353,7 +355,7 @@ def test_macro_shift_phases_share_precomputed_routing(monkeypatch):
     schedules = _capture_schedules(monkeypatch)
     p = 1024
     A, B = _operands(64)
-    res = run_cannon(A, B, p, scheduler="compiled", product=False)
+    res = run_cannon(A, B, p, config=SimConfig(scheduler="compiled"), product=False)
     assert res.sim.compiled, res.sim.compile_fallback
     (schedule,) = schedules
     shifts = [ph for ph in schedule.phases if isinstance(ph, SymCollective)]

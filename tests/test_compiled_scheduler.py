@@ -24,11 +24,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.simulator.engine as engine_mod
 from repro.algorithms import registry
 from repro.core.machine import MachineParams, NCUBE2_LIKE
 from repro.simulator.compile import SymmetrySpec
-from repro.simulator.engine import Engine, RankInfo
+from repro.simulator.engine import Engine, RankInfo, SimConfig
 from repro.simulator.faults import FaultPlan
 from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
@@ -67,11 +66,10 @@ def _operands(key, n):
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
-def _run_driver(key, n, p, scheduler, **kwargs):
+def _run_driver(key, n, p, scheduler, macro=True, **kwargs):
     A, B = _operands(key, n)
-    return registry.run(
-        key, A, B, p, machine=NCUBE2_LIKE, scheduler=scheduler, **kwargs
-    )
+    config = SimConfig(scheduler=scheduler, macro_collectives=macro)
+    return registry.run(key, A, B, p, machine=NCUBE2_LIKE, config=config, **kwargs)
 
 
 def assert_same_returns(got, want):
@@ -89,13 +87,12 @@ def assert_same_returns(got, want):
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
-def test_compiled_matches_ready_and_rescan_on_drivers(key, n, p, macro, monkeypatch):
+def test_compiled_matches_ready_and_rescan_on_drivers(key, n, p, macro):
     """The timing-only replay (``product=False``) of every driver that
     compiles matches ready and rescan on every per-rank account."""
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
-    res_c = _run_driver(key, n, p, "compiled", product=False)
-    res_d = _run_driver(key, n, p, "ready")
-    res_r = _run_driver(key, n, p, "rescan")
+    res_c = _run_driver(key, n, p, "compiled", macro, product=False)
+    res_d = _run_driver(key, n, p, "ready", macro)
+    res_r = _run_driver(key, n, p, "rescan", macro)
     _assert_identical(res_c.sim, res_d.sim, p)
     _assert_identical(res_c.sim, res_r.sim, p)
     assert res_c.C is None
@@ -108,13 +105,12 @@ def test_compiled_matches_ready_and_rescan_on_drivers(key, n, p, macro, monkeypa
 
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("key,n,p", DRIVER_CASES)
-def test_compiled_product_matches_ready_on_drivers(key, n, p, macro, monkeypatch):
+def test_compiled_product_matches_ready_on_drivers(key, n, p, macro):
     """A compiled run that needs the product keeps it: either the blocks
     rode the replay (C and returns bitwise equal to ready's) or the run
     fell back to ready with a reason — never ``C is None``."""
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
-    res_c = _run_driver(key, n, p, "compiled")
-    res_d = _run_driver(key, n, p, "ready")
+    res_c = _run_driver(key, n, p, "compiled", macro)
+    res_d = _run_driver(key, n, p, "ready", macro)
     _assert_identical(res_c.sim, res_d.sim, p)
     if res_c.sim.compiled:
         assert registry.get(key).compiled_product
@@ -167,9 +163,9 @@ def test_cannon_overlap_shifts_compiled(all_port, monkeypatch):
     A = rng.standard_normal((16, 16))
     B = rng.standard_normal((16, 16))
     res_c = run_cannon(A, B, 16, machine=machine, overlap_shifts=True,
-                       scheduler="compiled")
+                       config=SimConfig(scheduler="compiled"))
     res_d = run_cannon(A, B, 16, machine=machine, overlap_shifts=True,
-                       scheduler="ready")
+                       config=SimConfig(scheduler="ready"))
     assert res_c.sim.compiled
     _assert_identical(res_c.sim, res_d.sim, 16)
 
@@ -183,9 +179,9 @@ def test_simple_on_mesh_ring_allgather_compiles():
     B = rng.standard_normal((16, 16))
     topo = Mesh2D(4, 4)
     res_c = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
-                       scheduler="compiled", product=False)
+                       config=SimConfig(scheduler="compiled"), product=False)
     res_d = run_simple(A, B, 16, machine=NCUBE2_LIKE, topology=topo,
-                       scheduler="ready")
+                       config=SimConfig(scheduler="ready"))
     assert res_c.sim.compiled, res_c.sim.compile_fallback
     _assert_identical(res_c.sim, res_d.sim, 16)
 
@@ -240,9 +236,9 @@ def test_rank_asymmetric_program_falls_back_bit_identically():
     must agree with an explicit ready run on every field."""
     p = 16
     topo = Hypercube(4)
-    res_c = Engine(topo, NCUBE2_LIKE, scheduler="compiled",
+    res_c = Engine(topo, NCUBE2_LIKE, SimConfig(scheduler="compiled"),
                    symmetry=_ring_spec(p)).run(_relay_factories(p))
-    res_d = Engine(topo, NCUBE2_LIKE, scheduler="ready").run(_relay_factories(p))
+    res_d = Engine(topo, NCUBE2_LIKE, SimConfig(scheduler="ready")).run(_relay_factories(p))
     assert not res_c.compiled
     assert res_c.compile_fallback  # reason recorded
     _assert_identical(res_c, res_d, p)
@@ -252,9 +248,9 @@ def test_rank_asymmetric_program_falls_back_bit_identically():
 def test_symmetric_program_compiles():
     p = 16
     topo = Hypercube(4)
-    res_c = Engine(topo, NCUBE2_LIKE, scheduler="compiled",
+    res_c = Engine(topo, NCUBE2_LIKE, SimConfig(scheduler="compiled"),
                    symmetry=_ring_spec(p)).run(_ring_factories(p))
-    res_d = Engine(topo, NCUBE2_LIKE, scheduler="ready").run(_ring_factories(p))
+    res_d = Engine(topo, NCUBE2_LIKE, SimConfig(scheduler="ready")).run(_ring_factories(p))
     assert res_c.compiled and res_c.compile_fallback is None
     assert res_c.arrays is not None
     assert res_c.returns == [None] * p
@@ -273,10 +269,10 @@ def test_symmetric_program_compiles():
 def test_pre_probe_blockers_fall_back(kwargs, reason):
     p = 8
     topo = Hypercube(3)
-    kwargs.setdefault("symmetry", _ring_spec(p))
-    res = Engine(topo, NCUBE2_LIKE, scheduler="compiled", **kwargs).run(
-        _ring_factories(p)
-    )
+    symmetry = kwargs.pop("symmetry", _ring_spec(p))
+    res = Engine(
+        topo, NCUBE2_LIKE, SimConfig(scheduler="compiled", **kwargs), symmetry=symmetry
+    ).run(_ring_factories(p))
     assert not res.compiled
     assert reason in res.compile_fallback
     assert res.scheduler == ("rescan" if "link_contention" in kwargs else "ready")
@@ -295,7 +291,6 @@ def test_pre_probe_blockers_fall_back(kwargs, reason):
         ("ready", dict(fault_plan=FaultPlan(seed=1, drop_rate=0.2, timeout=50.0)), "ready"),
         ("rescan", dict(), "rescan"),
         ("rescan", dict(fault_plan=FaultPlan(seed=1)), "rescan"),
-        (None, dict(link_contention=True), "rescan"),
     ],
 )
 def test_result_records_the_scheduler_that_ran(requested, kwargs, ran):
@@ -306,13 +301,13 @@ def test_result_records_the_scheduler_that_ran(requested, kwargs, ran):
     p = 8
     topo = Hypercube(3)
     make = kwargs.pop("factories", _ring_factories)
-    if kwargs.pop("symmetry", False):
-        kwargs["symmetry"] = _ring_spec(p)
-    res = Engine(topo, NCUBE2_LIKE, scheduler=requested, **kwargs).run(make(p))
+    symmetry = _ring_spec(p) if kwargs.pop("symmetry", False) else None
+    res = Engine(
+        topo, NCUBE2_LIKE, SimConfig(scheduler=requested, **kwargs), symmetry=symmetry
+    ).run(make(p))
     assert res.scheduler == ran
     assert res.compiled == (ran == "compiled")
-    kwargs.pop("symmetry", None)
-    ref = Engine(topo, NCUBE2_LIKE, scheduler="rescan", **kwargs).run(make(p))
+    ref = Engine(topo, NCUBE2_LIKE, SimConfig(scheduler="rescan", **kwargs)).run(make(p))
     assert res.parallel_time == ref.parallel_time
     assert res.stats == ref.stats
 
@@ -324,7 +319,7 @@ def test_malformed_symmetry_spec_raises():
         partitions={"ring": np.arange(p - 1, dtype=np.int64)[None, :]}
     )
     with pytest.raises(ValueError):
-        Engine(topo, NCUBE2_LIKE, scheduler="compiled", symmetry=bad).run(
+        Engine(topo, NCUBE2_LIKE, SimConfig(scheduler="compiled"), symmetry=bad).run(
             _ring_factories(p)
         )
 
@@ -333,7 +328,7 @@ def test_fallback_reruns_generators_fresh():
     """Recording probes must not consume the real factories' effects:
     after a fallback every rank's return value is intact."""
     p = 8
-    res = Engine(Hypercube(3), NCUBE2_LIKE, scheduler="compiled",
+    res = Engine(Hypercube(3), NCUBE2_LIKE, SimConfig(scheduler="compiled"),
                  symmetry=_ring_spec(p)).run(_relay_factories(p))
     assert res.returns == list(range(p))
 
@@ -374,10 +369,10 @@ def test_compiled_fuzz_random_machines(seed):
         return body
 
     factories = [make(r) for r in range(p)]
-    res_c = Engine(topo, machine, scheduler="compiled",
+    res_c = Engine(topo, machine, SimConfig(scheduler="compiled"),
                    symmetry=_ring_spec(p)).run(factories)
-    res_d = Engine(topo, machine, scheduler="ready").run(factories)
-    res_r = Engine(topo, machine, scheduler="rescan").run(factories)
+    res_d = Engine(topo, machine, SimConfig(scheduler="ready")).run(factories)
+    res_r = Engine(topo, machine, SimConfig(scheduler="rescan")).run(factories)
     assert res_c.compiled, res_c.compile_fallback
     _assert_identical(res_c, res_d, p)
     _assert_identical(res_c, res_r, p)
@@ -397,11 +392,11 @@ def test_numba_kernel_bit_identical_when_available():
         pytest.skip("numba not installed; pure-numpy fallback is the tested path")
     p = 16
     factories = _ring_factories(p)
-    res_np = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
+    res_np = Engine(Hypercube(4), NCUBE2_LIKE, SimConfig(scheduler="compiled"),
                     symmetry=_ring_spec(p)).run(factories)
     assert charging.set_numba(True)
     try:
-        res_nb = Engine(Hypercube(4), NCUBE2_LIKE, scheduler="compiled",
+        res_nb = Engine(Hypercube(4), NCUBE2_LIKE, SimConfig(scheduler="compiled"),
                         symmetry=_ring_spec(p)).run(factories)
     finally:
         charging.set_numba(False)

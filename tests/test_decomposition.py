@@ -9,6 +9,7 @@ from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk
 from repro.core.decomposition import communication_by_kind, decompose_overhead
 from repro.core.machine import MachineParams
+from repro.simulator.engine import SimConfig
 
 M = MachineParams(ts=10.0, tw=2.0)
 
@@ -83,7 +84,7 @@ class TestTraceByKind:
 
     def test_kind_totals_match_stats(self):
         A, B = rand_pair(16, seed=1)
-        res = run_cannon(A, B, 16, M, trace=True)
+        res = run_cannon(A, B, 16, M, config=SimConfig(trace=True))
         kinds = communication_by_kind(res.sim)
         assert kinds["compute"] == pytest.approx(res.sim.total_compute_time)
         assert kinds["send"] == pytest.approx(sum(s.send_time for s in res.sim.stats))
@@ -99,7 +100,7 @@ class TestCommunicationByTag:
 
         A, B = rand_pair(32, seed=4)
         res = __import__("repro.algorithms.gk", fromlist=["run_gk"]).run_gk(
-            A, B, 64, M, trace=True
+            A, B, 64, M, config=SimConfig(trace=True)
         )
         by_tag = communication_by_tag(res.sim)
         # tags: 10 route A, 20 bcast A, 30 route B, 40 bcast B, 50 reduce
@@ -113,7 +114,7 @@ class TestCommunicationByTag:
         from repro.core.decomposition import communication_by_tag
 
         A, B = rand_pair(16, seed=4)
-        res = run_cannon(A, B, 16, M, trace=True)
+        res = run_cannon(A, B, 16, M, config=SimConfig(trace=True))
         by_tag = communication_by_tag(res.sim)
         assert set(by_tag) == {3, 4}  # A rolls, B rolls (pre-aligned run)
         # the two operands move the same volume
@@ -131,7 +132,7 @@ class TestCommunicationByTag:
         from repro.core.decomposition import communication_by_tag
 
         A, B = rand_pair(16, seed=4)
-        res = run_cannon(A, B, 16, M, trace=True)
+        res = run_cannon(A, B, 16, M, config=SimConfig(trace=True))
         by_tag = communication_by_tag(res.sim)
         total = sum(s.send_time + s.recv_wait_time for s in res.sim.stats)
         assert sum(by_tag.values()) == pytest.approx(total)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.machine import MachineParams
-from repro.simulator.engine import Engine, run_spmd
+from repro.simulator.engine import Engine, SimConfig, run_spmd
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
@@ -308,7 +308,7 @@ class TestTrace:
         def receiver(info):
             yield Recv(src=0)
 
-        res = Engine(FullyConnected(2), machine, trace=True).run([sender, receiver])
+        res = Engine(FullyConnected(2), machine, SimConfig(trace=True)).run([sender, receiver])
         kinds = [e.kind for e in res.trace.for_rank(0)]
         assert kinds == ["compute", "send"]
         recv_events = res.trace.by_kind("recv")
@@ -319,7 +319,8 @@ class TestTrace:
             for _ in range(10):
                 yield Compute(1.0)
 
-        res = Engine(FullyConnected(1), machine, trace=True, max_trace_events=4).run([prog])
+        config = SimConfig(trace=True, max_trace_events=4)
+        res = Engine(FullyConnected(1), machine, config).run([prog])
         assert len(res.trace.events) == 4
         assert res.trace.dropped == 6
 

@@ -4,7 +4,7 @@ mixed traffic patterns, and bookkeeping corner cases."""
 import pytest
 
 from repro.core.machine import MachineParams
-from repro.simulator.engine import Engine, run_spmd
+from repro.simulator.engine import Engine, SimConfig, run_spmd
 from repro.simulator.errors import DeadlockError
 from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
 from repro.simulator.topology import FullyConnected, Hypercube
@@ -169,7 +169,7 @@ class TestReturnsAndStats:
 class TestSchedulerSelection:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
-            Engine(FullyConnected(2), M, scheduler="optimistic")
+            Engine(FullyConnected(2), M, SimConfig(scheduler="optimistic"))
 
     def test_run_spmd_scheduler_passthrough(self):
         def prog(info):
@@ -180,8 +180,8 @@ class TestSchedulerSelection:
                 assert got == "x"
             yield Barrier()
 
-        r1 = run_spmd(FullyConnected(2), M, prog, scheduler="ready")
-        r2 = run_spmd(FullyConnected(2), M, prog, scheduler="rescan")
+        r1 = run_spmd(FullyConnected(2), M, prog, SimConfig(scheduler="ready"))
+        r2 = run_spmd(FullyConnected(2), M, prog, SimConfig(scheduler="rescan"))
         assert r1.parallel_time == r2.parallel_time
         assert r1.stats == r2.stats
 
@@ -194,6 +194,6 @@ class TestSchedulerSelection:
             else:
                 yield Recv(src=0)
 
-        eng = Engine(FullyConnected(2), M, link_contention=True, scheduler="ready")
+        eng = Engine(FullyConnected(2), M, SimConfig(scheduler="ready", link_contention=True))
         res = eng.run([prog, prog])
         assert res.total_messages == 1

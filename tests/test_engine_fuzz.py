@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.machine import MachineParams
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, SimConfig
 from repro.simulator.faults import FaultPlan
 from repro.simulator.request import Barrier, Compute, Recv, Send, SendAll
 from repro.simulator.topology import FullyConnected, Hypercube
@@ -144,8 +144,8 @@ def test_schedulers_bit_identical(seed, p, nops, ts, routing, barriers, topo):
     make_topo = (lambda: FullyConnected(p)) if topo == "full" else (
         lambda: Hypercube(int(np.log2(p)))
     )
-    r_fast = Engine(make_topo(), machine, scheduler="ready").run(_factory_for(ops))
-    r_rescan = Engine(make_topo(), machine, scheduler="rescan").run(_factory_for(ops))
+    r_fast = Engine(make_topo(), machine, SimConfig(scheduler="ready")).run(_factory_for(ops))
+    r_rescan = Engine(make_topo(), machine, SimConfig(scheduler="rescan")).run(_factory_for(ops))
     assert r_fast.parallel_time == r_rescan.parallel_time
     assert r_fast.stats == r_rescan.stats
     assert r_fast.returns == r_rescan.returns
@@ -165,8 +165,9 @@ def test_schedulers_identical_traces(seed):
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, 4, 30, barriers=True)
     machine = MachineParams(ts=3.0, tw=2.0)
-    r1 = Engine(FullyConnected(4), machine, trace=True, scheduler="ready").run(_factory_for(ops))
-    r2 = Engine(FullyConnected(4), machine, trace=True, scheduler="rescan").run(_factory_for(ops))
+    r1 = Engine(FullyConnected(4), machine, SimConfig(trace=True)).run(_factory_for(ops))
+    rescan = SimConfig(scheduler="rescan", trace=True)
+    r2 = Engine(FullyConnected(4), machine, rescan).run(_factory_for(ops))
     for rank in range(4):
         e1, e2 = r1.trace.for_rank(rank), r2.trace.for_rank(rank)
         assert [(e.start, e.end, e.kind, e.detail, e.tag) for e in e1] == [
@@ -222,10 +223,10 @@ def test_ready_matches_rescan_under_faults(seed, p, nops, shape, traced):
     machine = MachineParams(ts=4.0, tw=1.5, th=0.25)
     plan = _fault_plan(shape, seed % 1000)
     r_ready = Engine(
-        FullyConnected(p), machine, fault_plan=plan, trace=traced, scheduler="ready"
+        FullyConnected(p), machine, SimConfig(scheduler="ready", trace=traced, fault_plan=plan)
     ).run(_factory_for(ops))
     r_rescan = Engine(
-        FullyConnected(p), machine, fault_plan=plan, trace=traced, scheduler="rescan"
+        FullyConnected(p), machine, SimConfig(scheduler="rescan", trace=traced, fault_plan=plan)
     ).run(_factory_for(ops))
     assert r_ready.scheduler == "ready"
     assert _fault_fingerprint(r_ready) == _fault_fingerprint(r_rescan)
@@ -255,10 +256,10 @@ def test_contention_runs_rescan_whatever_was_requested(seed, p, nops):
     ops = _build_schedule(rng, p, nops)
     machine = MachineParams(ts=4.0, tw=1.5)
     r_ready = Engine(
-        FullyConnected(p), machine, link_contention=True, scheduler="ready"
+        FullyConnected(p), machine, SimConfig(scheduler="ready", link_contention=True)
     ).run(_factory_for(ops))
     r_rescan = Engine(
-        FullyConnected(p), machine, link_contention=True, scheduler="rescan"
+        FullyConnected(p), machine, SimConfig(scheduler="rescan", link_contention=True)
     ).run(_factory_for(ops))
     assert r_ready.scheduler == r_rescan.scheduler == "rescan"
     assert r_ready.parallel_time == r_rescan.parallel_time
@@ -301,7 +302,7 @@ def test_sendall_exchange_bit_identical(seed, p, k, all_port, routing):
 
     machine = MachineParams(ts=5.0, tw=1.3, th=0.2, routing=routing, all_port=all_port)
     fast, ref = (
-        Engine(FullyConnected(p), machine, scheduler=s).run([prog for _ in range(p)])
+        Engine(FullyConnected(p), machine, SimConfig(scheduler=s)).run([prog for _ in range(p)])
         for s in ("ready", "rescan")
     )
     assert fast.parallel_time == ref.parallel_time
@@ -315,7 +316,7 @@ def test_trace_times_monotone_per_rank(seed):
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, 4, 30)
     machine = MachineParams(ts=3.0, tw=2.0)
-    res = Engine(FullyConnected(4), machine, trace=True).run(_factory_for(ops))
+    res = Engine(FullyConnected(4), machine, SimConfig(trace=True)).run(_factory_for(ops))
     for rank in range(4):
         events = res.trace.for_rank(rank)
         for a, b in zip(events, events[1:]):
@@ -361,7 +362,7 @@ def test_fault_active_relay_ring_ready_matches_rescan():
     machine = MachineParams(ts=10.0, tw=2.0)
     prog = _relay_ring(256)
     r_ready, r_rescan = (
-        Engine(FullyConnected(p), machine, scheduler=s, fault_plan=plan).run([prog] * p)
+        Engine(FullyConnected(p), machine, SimConfig(scheduler=s, fault_plan=plan)).run([prog] * p)
         for s in ("ready", "rescan")
     )
     assert r_ready.scheduler == "ready"

@@ -13,6 +13,8 @@ from repro.experiments import (
     validation,
 )
 from repro.experiments.report import format_kv, format_table
+from repro.simulator.engine import SimConfig
+from repro.simulator.faults import FaultPlan
 
 
 class TestReportHelpers:
@@ -79,21 +81,34 @@ class TestFigures45:
         "fig5": (257.6538239928533, 294.3119904139276),
     }
 
-    def test_default_figures_reproduce_published_crossovers_on_both_paths(self, monkeypatch):
+    def test_default_figures_reproduce_published_crossovers_on_both_paths(self):
         """The full default grids hit the published crossovers exactly, and
-        every simulated efficiency is the same with macro collectives on
-        (deferred cross-group batches) and off (message level)."""
-        import repro.simulator.engine as engine_mod
-
+        every simulated efficiency is the same on the default path (macro
+        collectives as deferred cross-group batches, Cannon compiled) and
+        with both drivers on the ready scheduler at message level."""
         rows = {}
         for macro in (True, False):
-            monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
+            config = None if macro else SimConfig(macro_collectives=False)
             for fig, run in (("fig4", figures45.run_fig4), ("fig5", figures45.run_fig5)):
-                res = run()
+                res = run(config=config)
                 assert (res.crossover_sim, res.crossover_model) == self.PUBLISHED[fig]
                 rows[macro, fig] = [(r["n"], r["E_gk_sim"], r["E_cannon_sim"]) for r in res.rows]
         for fig in ("fig4", "fig5"):
             assert rows[True, fig] == rows[False, fig]
+
+    def test_config_reaches_process_pool_workers(self):
+        """An explicit config is pickled to the workers: pooled runs give
+        the serial rows, including under a fault plan whose rows differ
+        from the fault-free ones (so a dropped config would show)."""
+        sizes = (16, 48)
+        for config in (
+            SimConfig(scheduler="rescan", macro_collectives=False),
+            SimConfig(fault_plan=FaultPlan(seed=1, straggler_rate=0.5, straggler_factor=2.0)),
+        ):
+            serial = figures45.run_fig4(sizes=sizes, jobs=1, config=config)
+            pooled = figures45.run_fig4(sizes=sizes, jobs=2, config=config)
+            assert pooled.rows == serial.rows
+        assert serial.rows != figures45.run_fig4(sizes=sizes).rows
 
     def test_verification_catches_corruption(self):
         # the driver verifies every product; a sanity check that it runs

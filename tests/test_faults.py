@@ -2,7 +2,7 @@
 
 The load-bearing property is at the top: a zero-rate :class:`FaultPlan`
 is *exactly* free.  Every engine hook returns its input unchanged when
-nothing fires, so ``fault_plan=FaultPlan()`` must be bit-identical —
+nothing fires, so ``SimConfig(fault_plan=FaultPlan())`` must be bit-identical —
 clocks, per-rank stats, return values — to running with no plan at all,
 on arbitrary fuzzed schedules, under both schedulers, and through the
 macro collective fast path (which a plan bypasses in favor of the
@@ -30,7 +30,7 @@ from repro.simulator import (
     retransmit_backoff_delay,
     run_spmd,
 )
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, SimConfig
 
 from test_engine_fuzz import _build_schedule, _factory_for
 
@@ -150,17 +150,20 @@ def _result_fingerprint(res):
     scheduler=st.sampled_from(["ready", "rescan"]),
 )
 def test_null_plan_is_bit_identical_fuzz(seed, p, nops, ts, barriers, scheduler):
-    """fault_plan=FaultPlan() must not move a single bit of any clock.
+    """SimConfig(fault_plan=FaultPlan()) must not move a single bit of any clock.
 
-    The null plan forces the reference (rescan) scheduler, so this also
-    re-proves scheduler equivalence through the fault-hook call sites.
+    On ``ready`` the null plan runs the exact loop, which charges every
+    request through the reference helpers, so this also re-proves
+    scheduler equivalence through the fault-hook call sites.
     """
     rng = np.random.default_rng(seed)
     ops = _build_schedule(rng, p, nops, barriers=barriers)
     machine = MachineParams(ts=ts, tw=1.7, th=0.3)
-    plain = Engine(FullyConnected(p), machine, scheduler=scheduler).run(_factory_for(ops))
+    plain = Engine(FullyConnected(p), machine, SimConfig(scheduler=scheduler)).run(
+        _factory_for(ops)
+    )
     faulted = Engine(
-        FullyConnected(p), machine, scheduler=scheduler, fault_plan=FaultPlan()
+        FullyConnected(p), machine, SimConfig(scheduler=scheduler, fault_plan=FaultPlan())
     ).run(_factory_for(ops))
     assert _result_fingerprint(plain) == _result_fingerprint(faulted)
 
@@ -176,7 +179,7 @@ def test_null_plan_matches_macro_fast_path_on_cm5_configs():
     A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     for run in (run_cannon, run_gk_cm5):
         plain = run(A, B, p, CM5)
-        faulted = run(A, B, p, CM5, fault_plan=FaultPlan())
+        faulted = run(A, B, p, CM5, config=SimConfig(fault_plan=FaultPlan()))
         assert plain.parallel_time == faulted.parallel_time
         assert plain.sim.stats == faulted.sim.stats
         np.testing.assert_array_equal(plain.C, faulted.C)
@@ -188,8 +191,8 @@ def test_same_seed_same_faults():
                      straggler_factor=2.0)
     rng = np.random.default_rng(1)
     ops = _build_schedule(rng, 4, 30)
-    r1 = run_spmd(FullyConnected(4), M, _factory_for(ops), fault_plan=plan)
-    r2 = run_spmd(FullyConnected(4), M, _factory_for(ops), fault_plan=plan)
+    r1 = run_spmd(FullyConnected(4), M, _factory_for(ops), SimConfig(fault_plan=plan))
+    r2 = run_spmd(FullyConnected(4), M, _factory_for(ops), SimConfig(fault_plan=plan))
     assert _result_fingerprint(r1) == _result_fingerprint(r2)
 
 
@@ -200,7 +203,7 @@ def test_straggler_scales_compute():
     base = run_spmd(FullyConnected(2), M, _single(Compute(100.0)))
     slow = run_spmd(
         FullyConnected(2), M, _single(Compute(100.0)),
-        fault_plan=FaultPlan(straggler_rate=1.0, straggler_factor=3.0),
+        SimConfig(fault_plan=FaultPlan(straggler_rate=1.0, straggler_factor=3.0)),
     )
     assert slow.parallel_time == 3.0 * base.parallel_time
 
@@ -216,7 +219,7 @@ def test_degraded_link_scales_transfers():
     base = run_spmd(FullyConnected(2), M, factories)
     degraded = run_spmd(
         FullyConnected(2), M, factories,
-        fault_plan=FaultPlan(degrade_rate=1.0, degrade_factor=4.0),
+        SimConfig(fault_plan=FaultPlan(degrade_rate=1.0, degrade_factor=4.0)),
     )
     assert degraded.parallel_time > base.parallel_time
     assert degraded.faults_injected == 0  # a slow link is a factor, not an event
@@ -248,7 +251,7 @@ def test_drops_charge_retransmits():
     drops = plan.drops_for(0, 1, 0, 0)
     assert drops >= 1
     base = run_spmd(FullyConnected(2), M, _pair_message())
-    res = run_spmd(FullyConnected(2), M, _pair_message(), fault_plan=plan)
+    res = run_spmd(FullyConnected(2), M, _pair_message(), SimConfig(fault_plan=plan))
     assert res.retransmits == drops
     assert res.faults_injected == drops
     busy = M.sender_busy_time(20)
@@ -267,7 +270,7 @@ def test_drops_for_is_pure():
 def test_unrecoverable_link_raises():
     plan = FaultPlan(drop_rate=1.0, timeout=1.0, max_retries=3)
     with pytest.raises(UnrecoverableFaultError, match="max_retries=3"):
-        run_spmd(FullyConnected(2), M, _pair_message(), fault_plan=plan)
+        run_spmd(FullyConnected(2), M, _pair_message(), SimConfig(fault_plan=plan))
 
 
 def test_retransmit_backoff_delay_accumulates():
@@ -282,7 +285,7 @@ def test_retransmit_backoff_delay_accumulates():
 def test_crash_without_checkpoint_is_fatal():
     plan = FaultPlan(horizon=200.0, crash_times=((0, 150.0),))
     with pytest.raises(RankCrashError, match="rank 0"):
-        run_spmd(FullyConnected(2), M, _single(Compute(200.0)), fault_plan=plan)
+        run_spmd(FullyConnected(2), M, _single(Compute(200.0)), SimConfig(fault_plan=plan))
 
 
 def test_crash_rolls_back_to_last_checkpoint():
@@ -290,7 +293,7 @@ def test_crash_rolls_back_to_last_checkpoint():
         horizon=200.0, crash_times=((0, 150.0),),
         checkpoint_interval=1000.0, recovery_cost=20.0,
     )
-    res = run_spmd(FullyConnected(2), M, _single(Compute(200.0)), fault_plan=plan)
+    res = run_spmd(FullyConnected(2), M, _single(Compute(200.0)), SimConfig(fault_plan=plan))
     # crash at t=150 loses all work since the free t=0 checkpoint:
     # penalty = 20 recovery + 150 lost, so the rank finishes at 370
     assert res.parallel_time == 370.0
@@ -303,7 +306,7 @@ def test_explicit_checkpoint_rescues_crash():
     res = run_spmd(
         FullyConnected(2), M,
         _single(Compute(100.0), Checkpoint(), Compute(100.0)),
-        fault_plan=plan,
+        SimConfig(fault_plan=plan),
     )
     # checkpointed at t=100, so the t=150 crash loses only 50
     assert res.parallel_time == 270.0
@@ -312,7 +315,7 @@ def test_explicit_checkpoint_rescues_crash():
 
 def test_periodic_checkpoints_charged_on_local_clock():
     plan = FaultPlan(checkpoint_interval=50.0, checkpoint_cost=5.0)
-    res = run_spmd(FullyConnected(2), M, _single(Compute(100.0)), fault_plan=plan)
+    res = run_spmd(FullyConnected(2), M, _single(Compute(100.0)), SimConfig(fault_plan=plan))
     # boundaries at 50 and (after the first charge) 105 both land in range
     assert res.parallel_time == 110.0
     assert res.checkpoint_time == 10.0
@@ -348,7 +351,7 @@ def test_deadlock_report_includes_fault_history():
         checkpoint_interval=1000.0, recovery_cost=5.0,
     )
     with pytest.raises(DeadlockError, match="rank 0 crashed at t=50") as exc:
-        run_spmd(FullyConnected(2), M, [rank0, rank1], fault_plan=plan)
+        run_spmd(FullyConnected(2), M, [rank0, rank1], SimConfig(fault_plan=plan))
     assert any("crashed" in line for line in exc.value.fault_history)
 
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import rand_pair
 from repro.algorithms.cannon import run_cannon
 from repro.core.machine import MachineParams
+from repro.simulator.engine import SimConfig
 from repro.simulator.gantt import GLYPHS, gantt_chart
 from repro.simulator.trace import Trace, TraceEvent
 
@@ -42,7 +43,7 @@ class TestGantt:
 
     def test_real_run_has_phase_structure(self):
         A, B = rand_pair(16, seed=1)
-        res = run_cannon(A, B, 16, M, trace=True)
+        res = run_cannon(A, B, 16, M, config=SimConfig(trace=True))
         text = gantt_chart(res.sim.trace, width=80)
         lines = text.splitlines()
         assert len(lines) == 17  # header + 16 ranks

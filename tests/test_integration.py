@@ -9,7 +9,7 @@ from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk
 from repro.algorithms.simple import run_simple
 from repro.core.machine import CM5, MachineParams, NCUBE2_LIKE
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, SimConfig
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
 
 M = MachineParams(ts=25.0, tw=1.5)
@@ -130,7 +130,7 @@ class TestEndToEnd:
                     [layout[i][c] for c in range(side)],
                     [layout[r][j] for r in range(side)],
                 )
-        res = Engine(topo, M, link_contention=True).run(factories)
+        res = Engine(topo, M, SimConfig(link_contention=True)).run(factories)
         C = np.zeros((16, 16))
         for (i, j), blk in res.returns:
             C[spec.block_slice(i, j)] = blk

@@ -46,7 +46,7 @@ from repro.simulator.collectives import (
     reduce_scatter_halving,
     shift_cyclic,
 )
-from repro.simulator.engine import run_spmd
+from repro.simulator.engine import SimConfig, run_spmd
 from repro.simulator.errors import DeadlockError, ProgramError
 from repro.simulator.macro import binomial_rounds
 from repro.simulator.request import CollectiveOp
@@ -87,9 +87,11 @@ def assert_identical(res_a, res_b, label: str):
 
 def run_three_ways(p, topo, machine, factory):
     """(macro+ready, message+ready, message+rescan) runs of one program."""
-    macro = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=True)
-    msg = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=False)
-    rescan = run_spmd(topo, machine, factory, scheduler="rescan", macro_collectives=False)
+    macro = run_spmd(topo, machine, factory, SimConfig(macro_collectives=True))
+    msg = run_spmd(topo, machine, factory, SimConfig(macro_collectives=False))
+    rescan = run_spmd(
+        topo, machine, factory, SimConfig(scheduler="rescan", macro_collectives=False)
+    )
     return macro, msg, rescan
 
 
@@ -302,14 +304,14 @@ def test_fuzz_macro_matches_reference(seed, p, rounds, machine, fully_connected)
 def _run_macro(p, factory, machine=NCUBE2_LIKE):
     return run_spmd(
         Hypercube.of_size(p), machine, factory,
-        scheduler="ready", macro_collectives=True,
+        SimConfig(scheduler="ready", macro_collectives=True),
     )
 
 
 def _run_reference(p, factory, machine=NCUBE2_LIKE):
     return run_spmd(
         Hypercube.of_size(p), machine, factory,
-        scheduler="ready", macro_collectives=False,
+        SimConfig(scheduler="ready", macro_collectives=False),
     )
 
 
@@ -487,13 +489,9 @@ def _operands(n: int, seed: int = 5):
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
-def _both_paths(monkeypatch, run):
-    """``run()`` with macro collectives on, then off (the message-level oracle)."""
-    out = []
-    for macro in (True, False):
-        monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
-        out.append(run())
-    return out
+def _both_paths(run):
+    """``run(config)`` with macro collectives on, then off (the message-level oracle)."""
+    return [run(SimConfig(macro_collectives=macro)) for macro in (True, False)]
 
 
 #: (p, uniform n, ragged n) for GK: p = r**3, ragged n not divisible by r
@@ -514,17 +512,15 @@ CT_HOP = MachineParams(ts=10.0, tw=2.0, th=1.0, routing="ct", name="ct-hop")
 @pytest.mark.parametrize("blocks", ["uniform", "ragged"])
 @pytest.mark.parametrize("p,n_uniform,n_ragged", GK_CASES, ids=[f"p{c[0]}" for c in GK_CASES])
 def test_gk_deferred_batches_bit_identical(
-    p, n_uniform, n_ragged, blocks, topo_kind, machine, monkeypatch
+    p, n_uniform, n_ragged, blocks, topo_kind, machine
 ):
     """GK's r² concurrent bcast/reduce groups charged together equal the
     message-level run; ragged blocks give per-row word counts."""
     n = n_uniform if blocks == "uniform" else n_ragged
     A, B = _operands(n)
     macro, msg = _both_paths(
-        monkeypatch,
-        lambda: run_gk(
-            A, B, p, machine=machine, topology=TOPOLOGY_KINDS[topo_kind](p),
-            scheduler="ready",
+        lambda config: run_gk(
+            A, B, p, machine=machine, topology=TOPOLOGY_KINDS[topo_kind](p), config=config
         ),
     )
     _assert_driver_identical(macro, msg, f"gk p={p} n={n} {topo_kind} {machine.name}")
@@ -539,14 +535,12 @@ DNS_BLOCK_CASES = [(2, 2), (4, 4), (16, 2)]
 @pytest.mark.parametrize("machine", [NCUBE2_LIKE, CT_HOP], ids=lambda m: m.name)
 @pytest.mark.parametrize("topo_kind", sorted(TOPOLOGY_KINDS))
 @pytest.mark.parametrize("n,r", DNS_BLOCK_CASES, ids=[f"p{n * n * r}" for n, r in DNS_BLOCK_CASES])
-def test_dns_block_deferred_batches_bit_identical(n, r, topo_kind, machine, monkeypatch):
+def test_dns_block_deferred_batches_bit_identical(n, r, topo_kind, machine):
     A, B = _operands(n)
     p = n * n * r
     macro, msg = _both_paths(
-        monkeypatch,
-        lambda: run_dns_block(
-            A, B, r, machine=machine, topology=TOPOLOGY_KINDS[topo_kind](p),
-            scheduler="ready",
+        lambda config: run_dns_block(
+            A, B, r, machine=machine, topology=TOPOLOGY_KINDS[topo_kind](p), config=config
         ),
     )
     _assert_driver_identical(macro, msg, f"dns-block n={n} r={r} {topo_kind} {machine.name}")
@@ -559,11 +553,10 @@ def test_dns_block_deferred_batches_bit_identical(n, r, topo_kind, machine, monk
     ("fox", 8, 16), ("fox", 16, 64),
 ])
 @pytest.mark.parametrize("machine", [CM5, CT_HOP], ids=lambda m: m.name)
-def test_other_algorithms_deferred_bit_identical(key, n, p, machine, monkeypatch):
+def test_other_algorithms_deferred_bit_identical(key, n, p, machine):
     A, B = _operands(n)
     macro, msg = _both_paths(
-        monkeypatch,
-        lambda: run_registered(key, A, B, p, machine=machine, scheduler="ready"),
+        lambda config: run_registered(key, A, B, p, machine=machine, config=config),
     )
     _assert_driver_identical(macro, msg, f"{key} p={p} {machine.name}")
 
@@ -606,8 +599,8 @@ def test_one_flush_mixes_roots_and_word_counts(machine, monkeypatch):
 
     monkeypatch.setattr(engine_mod, "run_collective", spy)
     topo = Hypercube.of_size(p)
-    macro = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=True)
-    msg = run_spmd(topo, machine, factory, scheduler="ready", macro_collectives=False)
+    macro = run_spmd(topo, machine, factory, SimConfig(scheduler="ready", macro_collectives=True))
+    msg = run_spmd(topo, machine, factory, SimConfig(scheduler="ready", macro_collectives=False))
     assert calls == [
         ("bcast", 4, {0, 1, 2, 3}, {3, 8, 13, 18}),
         ("reduce", 4, {0, 1, 2, 3}, {3, 8, 13, 18}),
@@ -640,7 +633,7 @@ def test_group_that_never_fills_deadlocks_naming_parked_ranks():
 
     with pytest.raises(DeadlockError) as exc:
         run_spmd(Hypercube.of_size(4), NCUBE2_LIKE, factory,
-                 scheduler="ready", macro_collectives=True)
+                 SimConfig(scheduler="ready", macro_collectives=True))
     assert set(exc.value.blocked) == {2}
     assert "bcast" in exc.value.blocked[2]
 
@@ -664,7 +657,7 @@ def test_rendezvous_errors_under_deferral(case):
 
     with pytest.raises(ProgramError):
         run_spmd(Hypercube.of_size(4), NCUBE2_LIKE, factory,
-                 scheduler="ready", macro_collectives=True)
+                 SimConfig(scheduler="ready", macro_collectives=True))
 
 
 def test_posting_twice_to_a_pending_group_raises():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_pair
 from repro.core.machine import MachineParams
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, SimConfig
 from repro.simulator.network import LinkReservations, route_path
 from repro.simulator.request import Recv, Send
 from repro.simulator.topology import FullyConnected, Hypercube, Mesh2D
@@ -113,7 +113,7 @@ class TestEngineContention:
                 yield Recv(src=1)
 
         free = Engine(Hypercube(2), M).run(combined)
-        congested = Engine(Hypercube(2), M, link_contention=True).run(combined)
+        congested = Engine(Hypercube(2), M, SimConfig(link_contention=True)).run(combined)
         assert congested.parallel_time > free.parallel_time
 
     def test_disjoint_paths_unaffected(self):
@@ -128,7 +128,7 @@ class TestEngineContention:
                 yield Recv(src=2)
 
         free = Engine(Hypercube(2), M).run(prog)
-        congested = Engine(Hypercube(2), M, link_contention=True).run(prog)
+        congested = Engine(Hypercube(2), M, SimConfig(link_contention=True)).run(prog)
         assert congested.parallel_time == free.parallel_time
 
 
@@ -143,7 +143,7 @@ class TestPaperAssumptionHolds:
         A, B = rand_pair(16, seed=1)
         topo1, topo2 = Hypercube(4), Hypercube(4)
         t_free = run_cannon(A, B, 16, M, topology=topo1).parallel_time
-        eng = Engine(Hypercube(4), M, link_contention=True)
+        eng = Engine(Hypercube(4), M, SimConfig(link_contention=True))
         # rebuild the same factories through the driver by monkey-free path:
         # simply rerun with a contention engine via the driver's topology
         from repro.algorithms import cannon as cannon_mod
@@ -189,5 +189,6 @@ class TestPaperAssumptionHolds:
             return body()
 
         t_free = Engine(Hypercube(3), M).run(factory).parallel_time
-        t_cont = Engine(Hypercube(3), M, link_contention=True).run(factory).parallel_time
+        contended = Engine(Hypercube(3), M, SimConfig(link_contention=True))
+        t_cont = contended.run(factory).parallel_time
         assert t_cont == t_free

@@ -96,7 +96,7 @@ class TestScaledSpeedup:
 
         def spy(*args, **kwargs):
             res = original.run(*args, **kwargs)
-            seen.append((kwargs["scheduler"], kwargs["product"], res.sim.compiled,
+            seen.append((kwargs["config"].scheduler, kwargs["product"], res.sim.compiled,
                          res.C is not None))
             return res
 

@@ -26,7 +26,7 @@ import sys
 import pytest
 
 from repro.core.machine import MachineParams
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, SimConfig
 from repro.simulator.faults import FaultPlan
 from repro.simulator.request import Barrier, Compute, Recv, Send
 from repro.simulator.topology import FullyConnected, Hypercube
@@ -76,10 +76,8 @@ class TestSameTimestampBatches:
         """Every event lands at t=0: queue order alone orders the trace."""
         fingerprints = set()
         for _ in range(10):
-            res = Engine(
-                FullyConnected(8), ZERO, trace=True, scheduler="ready",
-                fault_plan=LOOPS[loop],
-            ).run([self._zero_cost_program] * 8)
+            config = SimConfig(trace=True, fault_plan=LOOPS[loop])
+            res = Engine(FullyConnected(8), ZERO, config).run([self._zero_cost_program] * 8)
             fingerprints.add(tuple(_trace_fingerprint(res)))
         assert len(fingerprints) == 1
 
@@ -87,9 +85,9 @@ class TestSameTimestampBatches:
     def test_zero_cost_run_matches_rescan(self, loop):
         progs = [self._zero_cost_program] * 8
         ready = Engine(
-            FullyConnected(8), ZERO, scheduler="ready", fault_plan=LOOPS[loop]
+            FullyConnected(8), ZERO, SimConfig(scheduler="ready", fault_plan=LOOPS[loop])
         ).run(progs)
-        rescan = Engine(FullyConnected(8), ZERO, scheduler="rescan").run(progs)
+        rescan = Engine(FullyConnected(8), ZERO, SimConfig(scheduler="rescan")).run(progs)
         assert ready.parallel_time == rescan.parallel_time == 0.0
         assert ready.stats == rescan.stats
         assert ready.returns == rescan.returns
@@ -97,15 +95,9 @@ class TestSameTimestampBatches:
     @loops
     def test_traced_order_stable_across_runs(self, loop):
         """Identical costs on every rank: equal-time batches at every step."""
+        config = SimConfig(trace=True, fault_plan=LOOPS[loop])
         fingerprints = {
-            tuple(
-                _trace_fingerprint(
-                    Engine(
-                        Hypercube(3), M, trace=True, scheduler="ready",
-                        fault_plan=LOOPS[loop],
-                    ).run([_ring_program] * 8)
-                )
-            )
+            tuple(_trace_fingerprint(Engine(Hypercube(3), M, config).run([_ring_program] * 8)))
             for _ in range(5)
         }
         assert len(fingerprints) == 1
@@ -116,8 +108,7 @@ import hashlib
 import sys
 
 from repro.core.machine import MachineParams
-from repro.simulator.engine import Engine
-from repro.simulator.faults import FaultPlan
+from repro.simulator.engine import Engine, SimConfig
 from repro.simulator.faults import FaultPlan
 from repro.simulator.request import Barrier, Compute, Recv, Send
 from repro.simulator.topology import FullyConnected
@@ -138,10 +129,9 @@ for r in sorted(ranks):
         return got
     progs[r] = prog
 
-res = Engine(
-    FullyConnected(8), MachineParams(ts=3.0, tw=1.5), trace=True, scheduler="ready",
-    fault_plan=FaultPlan() if sys.argv[1] == "exact" else None,
-).run([progs[r] for r in sorted(progs)])
+config = SimConfig(trace=True, fault_plan=FaultPlan() if sys.argv[1] == "exact" else None)
+machine = MachineParams(ts=3.0, tw=1.5)
+res = Engine(FullyConnected(8), machine, config).run([progs[r] for r in sorted(progs)])
 lines = "".join(
     f"{e.rank},{e.start!r},{e.end!r},{e.kind},{e.detail},{e.tag}\\n"
     for e in res.trace.events
@@ -192,9 +182,9 @@ def test_simultaneous_wake_and_resume(loop):
         return (a, b)
 
     fast = Engine(
-        FullyConnected(2), M, scheduler="ready", fault_plan=LOOPS[loop]
+        FullyConnected(2), M, SimConfig(scheduler="ready", fault_plan=LOOPS[loop])
     ).run([p0, p1])
-    ref = Engine(FullyConnected(2), M, scheduler="rescan").run([p0, p1])
+    ref = Engine(FullyConnected(2), M, SimConfig(scheduler="rescan")).run([p0, p1])
     assert fast.parallel_time == ref.parallel_time
     assert fast.stats == ref.stats
     assert fast.returns == ref.returns

@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.simulator.engine as engine_mod
 from repro.algorithms.cannon import run_cannon
 from repro.algorithms.gk import run_gk_cm5
 from repro.core.machine import CM5
+from repro.simulator.engine import SCHEDULERS, SimConfig
 from repro.simulator.faults import FaultPlan
 from repro.simulator.topology import FullyConnected
 
@@ -62,39 +62,33 @@ PLANS = {
 }
 
 
-def _run(
-    algorithm: str, n: int, p: int, scheduler: str, macro: bool, plan, monkeypatch
-):
+def _run(algorithm: str, n: int, p: int, scheduler: str, macro: bool, plan):
     """One figure point under the given engine scheduler.
 
-    The process-wide default is flipped the same way
-    ``benchmarks/perf_guard.py`` does (the engine's contract is that the
-    choice is unobservable; the drivers' ``scheduler=`` kwarg covers
-    explicit selection elsewhere).  With *macro*, the figures'
-    row/column groups (8–64 ranks) take the macro executors.
+    With *macro*, the figures' row/column groups (8–64 ranks) take the
+    macro executors.
     """
-    monkeypatch.setattr(engine_mod, "DEFAULT_SCHEDULER", scheduler)
-    monkeypatch.setattr(engine_mod, "DEFAULT_MACRO_COLLECTIVES", macro)
+    config = SimConfig(scheduler=scheduler, macro_collectives=macro, fault_plan=plan)
     rng = np.random.default_rng((0, n))
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
     if algorithm == "gk":
-        return run_gk_cm5(A, B, p, machine=CM5, fault_plan=plan)
-    return run_cannon(A, B, p, machine=CM5, topology=FullyConnected(p), fault_plan=plan)
+        return run_gk_cm5(A, B, p, machine=CM5, config=config)
+    return run_cannon(A, B, p, machine=CM5, topology=FullyConnected(p), config=config)
 
 
 @pytest.mark.parametrize("plan_kind", sorted(PLANS))
 @pytest.mark.parametrize("macro", [False, True], ids=["message-level", "macro"])
 @pytest.mark.parametrize("figure,algorithm,n,p", CM5_CONFIGS)
 def test_ready_and_rescan_identical_on_cm5_configs(
-    figure, algorithm, n, p, macro, plan_kind, monkeypatch
+    figure, algorithm, n, p, macro, plan_kind
 ):
     plan = PLANS[plan_kind]
-    ready = _run(algorithm, n, p, "ready", macro, plan, monkeypatch)
+    ready = _run(algorithm, n, p, "ready", macro, plan)
     # the rescan reference always simulates message level (the engine
     # rejects macro requests there), so with macro=True this pins the
     # fast path against the reference on the real figure workloads
-    rescan = _run(algorithm, n, p, "rescan", False, plan, monkeypatch)
+    rescan = _run(algorithm, n, p, "rescan", False, plan)
     assert ready.sim.scheduler == "ready"
     if plan is not None:
         # the plan really fired, so the exact loop was exercised
@@ -126,15 +120,17 @@ def test_ready_and_rescan_identical_on_cm5_configs(
     np.testing.assert_allclose(ready.C, A @ B, atol=1e-8 * n)
 
 
-def test_scheduler_default_is_ready():
+def test_default_config_is_ready_with_macro_collectives():
     """The fast path is the default; rescan stays the reference."""
-    assert engine_mod.DEFAULT_SCHEDULER == "ready"
-    assert engine_mod.SCHEDULERS == ("ready", "rescan", "compiled")
+    config = SimConfig()
+    assert config.scheduler == "ready"
+    assert config.macro_collectives is True
+    assert SCHEDULERS == ("ready", "rescan", "compiled")
 
 
-def test_unknown_process_default_is_rejected(monkeypatch):
-    """A stale or mistyped module default fails loudly instead of
-    silently running some other scheduler."""
-    monkeypatch.setattr(engine_mod, "DEFAULT_SCHEDULER", "heap")
-    with pytest.raises(ValueError, match="unknown scheduler 'heap'"):
-        engine_mod.Engine(FullyConnected(2), CM5).run(lambda info: None)
+def test_unknown_scheduler_is_rejected():
+    """A mistyped scheduler fails loudly, listing the known ones, instead
+    of silently running some other scheduler."""
+    known = r"\('ready', 'rescan', 'compiled'\)"
+    with pytest.raises(ValueError, match=rf"unknown scheduler 'heap'; known: {known}"):
+        SimConfig(scheduler="heap")
